@@ -116,35 +116,39 @@ fn main() {
     }
     println!("batch_fft {}", d.hex());
 
-    // Split-radix DIF kernel, scalar and lane paths, both directions.
+    // Mixed-radix plans over every butterfly (radix 2/3/4/5 and the
+    // generic odd-prime pass for 7..=31), forward then inverse, and the
+    // half-size real plan at even non-power-of-two lengths: a smooth
+    // half (mixed-radix) and a 2·prime half (Bluestein).
     let mut d = Digest::new();
-    for logn in [12u32, 13] {
-        let m = 1usize << logn;
-        let plan = vbr_fft::SplitRadixPlan::new(m);
-        let mut buf: Vec<Complex> = normals[..m].iter().map(|&x| Complex::from_re(x)).collect();
+    let mut work = Vec::new();
+    for m in [900usize, 1140, 15_015, 20_677] {
+        let plan = vbr_fft::mixed_plan_for(m);
+        work.resize(m, Complex::ZERO);
+        let mut buf: Vec<Complex> =
+            (0..m).map(|j| Complex::new(normals[j], normals[n - 1 - j])).collect();
         for dir in [Direction::Forward, Direction::Inverse] {
-            plan.process(&mut buf, dir);
+            plan.process(&mut buf, &mut work, dir);
             for z in &buf {
                 d.push(z.re.to_bits());
                 d.push(z.im.to_bits());
             }
         }
-        let mut interleaved = vec![Complex::ZERO; m * l];
-        for v in 0..l {
-            for j in 0..m {
-                interleaved[j * l + v] = Complex::from_re(normals[(j + 53 * v) % n]);
-            }
-        }
-        plan.forward_lanes(&mut interleaved, l);
-        for v in 0..l.min(2) {
-            for j in 0..m {
-                let z = interleaved[j * l + v];
-                d.push(z.re.to_bits());
-                d.push(z.im.to_bits());
-            }
-        }
     }
-    println!("split_radix {}", d.hex());
+    let (mut spectrum, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    for m in [1800usize, 2018] {
+        let plan = real_plan_for(m);
+        plan.forward(&normals[..m], &mut spectrum, &mut scratch);
+        for z in &spectrum {
+            d.push(z.re.to_bits());
+            d.push(z.im.to_bits());
+        }
+        plan.synthesize_hermitian(&spectrum, &mut out, &mut scratch);
+        d.push_f64s(&out);
+        plan.inverse(&spectrum, &mut out, &mut scratch);
+        d.push_f64s(&out);
+    }
+    println!("mixed_radix {}", d.hex());
 
     // Half-size-complex real FFT: forward, Hermitian synthesis, and the
     // normalised inverse round trip, even and odd log2 n.

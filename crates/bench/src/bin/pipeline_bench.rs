@@ -65,6 +65,7 @@ use vbr_video::{generate_screenplay, generate_screenplay_batch, ScreenplayConfig
 /// Workload sizes for the two modes.
 struct Sizes {
     fft_n: usize,
+    periodogram_n: usize,
     whittle_n: usize,
     hurst_n: usize,
     trace_frames: usize,
@@ -79,6 +80,7 @@ impl Sizes {
     fn full() -> Sizes {
         Sizes {
             fft_n: 1 << 18,
+            periodogram_n: 1_800_000,
             whittle_n: 1 << 16,
             hurst_n: 65_536,
             trace_frames: 20_000,
@@ -93,6 +95,7 @@ impl Sizes {
     fn test() -> Sizes {
         Sizes {
             fft_n: 1 << 12,
+            periodogram_n: 18_000,
             whittle_n: 1 << 11,
             hurst_n: 4_096,
             trace_frames: 2_000,
@@ -115,6 +118,7 @@ fn run_suite(sizes: &Sizes) -> PerfReport {
     bench_kernels_simd(sizes, &mut report);
     bench_kernels_wide(sizes, &mut report);
     bench_kernels_batch_fft(sizes, &mut report);
+    bench_kernels_mixed_radix(sizes, &mut report);
     bench_estimators(sizes, &mut report);
     bench_simulation(sizes, &mut report);
     bench_streaming(sizes, &mut report);
@@ -1149,36 +1153,47 @@ fn bench_kernels_batch_fft(sizes: &Sizes, report: &mut PerfReport) {
              new path one synthesize_hermitian_lanes pass over interleaved bins"
         ),
     );
+}
 
-    // Split-radix audition: the DIF kernel owed by ROADMAP item 4
-    // against the production radix-4 plan, same size, same data. The
-    // radix-4 plan is the deliberate winner on this host (DESIGN.md
-    // §16); this entry keeps the comparison honest under the gate so
-    // a future host can re-audition split-radix with one bench run.
-    let sr = vbr_fft::SplitRadixPlan::new(n);
-    let t_sr = time_median(1, reps, || {
-        for sig in &signals {
-            solo.copy_from_slice(sig);
-            sr.forward(&mut solo);
-            std::hint::black_box(solo[n - 1]);
-        }
+// ---------------------------------------------------------------------------
+// Mixed-radix tier
+// ---------------------------------------------------------------------------
+
+/// The paper's slice-series periodogram (`n` = 1.8M = 2⁶·3²·5⁵ slices in
+/// full mode). Baseline: the pre-mixed-radix route — centred copy,
+/// widen to complex, one full-length Bluestein chirp transform (two
+/// 2²²-point radix-4 FFTs). New path: `Periodogram::compute`, which
+/// centres while packing into the half-size real plan whose 900 000-
+/// point half transform runs on the mixed-radix kernel.
+fn bench_kernels_mixed_radix(sizes: &Sizes, report: &mut PerfReport) {
+    let n = sizes.periodogram_n;
+    let xs = DaviesHarte::new(0.8, 1.0).generate(n, 13);
+    let chirp = vbr_fft::bluestein_plan_for(n, Direction::Forward);
+    let (mut buf, mut scratch) = (Vec::new(), Vec::new());
+    let reps = sizes.reps.min(3);
+    let t_bluestein = time_median(1, reps, || {
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let centred: Vec<f64> = xs.iter().map(|&x| x - mean).collect();
+        buf.clear();
+        buf.extend(centred.iter().map(|&v| Complex::from_re(v)));
+        chirp.process_in_place(&mut buf, &mut scratch);
+        let norm = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
+        let power: Vec<f64> = buf[1..=n / 2].iter().map(|z| z.norm_sqr() * norm).collect();
+        std::hint::black_box(power[0]);
     });
-    let t_r4 = time_median(1, reps, || {
-        for sig in &signals {
-            solo.copy_from_slice(sig);
-            plan.forward(&mut solo);
-            std::hint::black_box(solo[n - 1]);
-        }
+    let t_mixed = time_median(1, reps, || {
+        std::hint::black_box(Periodogram::compute(&xs).power()[0]);
     });
     report.record_vs(
-        "kernels_batch_fft",
-        "split_radix_vs_radix4",
-        t_sr,
-        t_r4,
+        "kernels_mixed_radix",
+        "periodogram_bluestein_vs_mixed",
+        t_bluestein,
+        t_mixed,
         (1, reps),
         &format!(
-            "{l} forward transforms of n={n}; baseline split-radix DIF recursion, \
-             new path the production radix-4 SoA plan (measured winner on this host)"
+            "periodogram of n={n} (smooth, non-pow2); baseline widens to complex and runs \
+             one Bluestein chirp transform, new path the half-size real plan on the \
+             mixed-radix kernel"
         ),
     );
 }

@@ -102,3 +102,45 @@ fn collector_records_pipeline_spans() {
         "traced generation must record its span"
     );
 }
+
+/// DESIGN.md §12 as a checked invariant: outside the `obs` facade
+/// itself, no library source reads a counter back. Test modules and
+/// the `vbr-bench` harness (which reports counters and restores them
+/// across checkpoints) are exempt; every figure the library returns
+/// must be computed, never recovered from a counter delta.
+#[test]
+fn library_code_never_reads_counters() {
+    const READS: [&str; 3] = ["CounterSnapshot", "counter_value(", "counter_restore("];
+    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut offenders = Vec::new();
+    let mut scanned = 0;
+    let mut stack = Vec::new();
+    for entry in std::fs::read_dir(&crates_dir).expect("crates dir") {
+        let path = entry.expect("entry").path();
+        if path.file_name().is_some_and(|n| n != "bench") {
+            stack.push(path.join("src"));
+        }
+    }
+    while let Some(dir) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
+        for entry in entries {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("stats/src/obs.rs")
+            {
+                let text = std::fs::read_to_string(&path).expect("readable source");
+                let library = text.split("#[cfg(test)]").next().unwrap_or("");
+                scanned += 1;
+                for read in READS {
+                    if library.contains(read) {
+                        offenders.push(format!("{}: {read}", path.display()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(scanned > 50, "scanned only {scanned} library sources");
+    assert!(offenders.is_empty(), "library code reads counters: {offenders:?}");
+}

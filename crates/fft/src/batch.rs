@@ -29,6 +29,7 @@
 use crate::complex::Complex;
 use crate::plan::{first_radix4_span, radix4_core, FftPlan};
 use crate::real::RealFftPlan;
+use crate::AnyPlan;
 
 impl FftPlan {
     /// In-place forward transform of `l` lane-interleaved signals
@@ -151,7 +152,8 @@ impl RealFftPlan {
     /// lane `v` at `out[t*l + v]`); `scratch` is the lane-interleaved
     /// half-length complex workspace. Per lane, every fold / twiddle /
     /// emit expression is the scalar plan's — outputs are bit-identical
-    /// to `l` scalar syntheses.
+    /// to `l` scalar syntheses. Power-of-two lengths run the lane-batched
+    /// radix-4 kernel; other even lengths run the half transform per lane.
     pub fn synthesize_hermitian_lanes(
         &self,
         half: &[Complex],
@@ -192,7 +194,23 @@ impl RealFftPlan {
                 scratch[k * l + v] = Complex::new(a.re - b_im, a.im + b_re);
             }
         }
-        self.half_plan.forward_lanes(scratch, l);
+        if let AnyPlan::Pow2(plan, _) = &self.half {
+            plan.forward_lanes(scratch, l);
+        } else {
+            // Lane kernels exist for the radix-4 plan only; other half
+            // lengths transform lane by lane through the scalar path.
+            let mut lane = vec![Complex::ZERO; h + self.half.work_len()];
+            for v in 0..l {
+                for (k, z) in lane[..h].iter_mut().enumerate() {
+                    *z = scratch[k * l + v];
+                }
+                let (buf, work) = lane.split_at_mut(h);
+                self.half.process(buf, work);
+                for (k, &z) in buf.iter().enumerate() {
+                    scratch[k * l + v] = z;
+                }
+            }
+        }
         if out.len() != n * l {
             out.clear();
             out.resize(n * l, 0.0);
@@ -272,7 +290,8 @@ mod tests {
 
     #[test]
     fn synthesize_lanes_bit_identical_to_scalar() {
-        for &n in &[2usize, 4, 8, 32, 256, 2048] {
+        // 12 and 74 take the per-lane mixed-radix / Bluestein fallback.
+        for &n in &[2usize, 4, 8, 12, 32, 74, 256, 2048] {
             for &l in &[1usize, 2, 4, 8] {
                 let h = n / 2;
                 let plan = real_plan_for(n);

@@ -1,5 +1,8 @@
 //! Bluestein's chirp-z algorithm: FFT of *arbitrary* length via a
-//! power-of-two convolution.
+//! power-of-two convolution. The length dispatch ([`crate::fft_any`])
+//! sends it only lengths with a prime factor above
+//! [`crate::MAX_PRIME_FACTOR`]; smooth lengths take the mixed-radix
+//! kernel, which needs no `≥ 2n`-point padding.
 //!
 //! The DFT is rewritten as a convolution
 //! `X_k = b*_k Σ_j (x_j b*_j) b_{k-j}` with the chirp
@@ -7,15 +10,14 @@
 //!
 //! The chirp table and the forward transform of the convolution kernel
 //! depend only on `(n, direction)`, so a [`BluesteinPlan`] precomputes
-//! both once and [`bluestein_plan_for`] memoizes plans globally — the
-//! periodogram pipeline transforms the same non-power-of-two trace
-//! length thousands of times. With a caller-reused scratch buffer
+//! both once and [`bluestein_plan_for`] memoizes plans globally, since
+//! callers transform the same length many times. With a caller-reused
+//! scratch buffer
 //! ([`BluesteinPlan::process_into`]) repeat transforms allocate nothing.
 
 use crate::complex::Complex;
-use crate::plan::{plan_for, FftPlan};
-use crate::radix2::{fft_pow2_in_place, is_pow2, next_pow2, Direction};
-use std::collections::HashMap;
+use crate::plan::{lru_get_or_build, plan_for, FftPlan, LruPlans};
+use crate::radix2::{next_pow2, Direction};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A reusable chirp-z execution plan for one `(length, direction)` pair.
@@ -79,6 +81,11 @@ impl BluesteinPlan {
         self.n == 0
     }
 
+    /// Length of the padded convolution buffer the transform works in.
+    pub fn work_len(&self) -> usize {
+        self.conv_len
+    }
+
     /// Transforms `input` into `out` using `scratch` as the padded
     /// convolution buffer. Both vectors are resized in place, so callers
     /// that reuse them across calls allocate nothing after the first.
@@ -88,6 +95,7 @@ impl BluesteinPlan {
         out: &mut Vec<Complex>,
         scratch: &mut Vec<Complex>,
     ) {
+        scratch.resize(self.conv_len, Complex::ZERO);
         self.convolve_stage(input, scratch);
         out.clear();
         out.extend((0..self.n).map(|k| self.dechirp(scratch, k)));
@@ -97,26 +105,41 @@ impl BluesteinPlan {
     /// (`buf.len()` must equal the plan length). Zero allocation once
     /// `scratch` has reached the padded convolution length.
     pub fn process_in_place(&self, buf: &mut [Complex], scratch: &mut Vec<Complex>) {
-        self.convolve_stage(buf, scratch);
+        scratch.resize(self.conv_len, Complex::ZERO);
+        self.process_with_work(buf, scratch);
+    }
+
+    /// [`process_in_place`](Self::process_in_place) with a caller-sliced
+    /// work buffer of at least [`work_len`](Self::work_len) elements
+    /// (contents overwritten).
+    pub fn process_with_work(&self, buf: &mut [Complex], work: &mut [Complex]) {
+        self.convolve_stage(buf, work);
         for (k, b) in buf.iter_mut().enumerate() {
-            *b = self.dechirp(scratch, k);
+            *b = self.dechirp(work, k);
         }
     }
 
-    /// Chirp-modulates `input` into `scratch` (zero-padded) and runs the
-    /// circular convolution with the precomputed kernel.
-    fn convolve_stage(&self, input: &[Complex], scratch: &mut Vec<Complex>) {
+    /// Chirp-modulates `input` into `work` (zero-padded to the
+    /// convolution length) and runs the circular convolution with the
+    /// precomputed kernel.
+    fn convolve_stage(&self, input: &[Complex], work: &mut [Complex]) {
         assert_eq!(input.len(), self.n, "plan is for length {}, got {}", self.n, input.len());
-        scratch.clear();
-        scratch.resize(self.conv_len, Complex::ZERO);
-        for (s, (&x, &c)) in scratch.iter_mut().zip(input.iter().zip(&self.chirp)) {
+        assert!(
+            work.len() >= self.conv_len,
+            "Bluestein work buffer needs {} elements, got {}",
+            self.conv_len,
+            work.len()
+        );
+        let work = &mut work[..self.conv_len];
+        for (s, (&x, &c)) in work.iter_mut().zip(input.iter().zip(&self.chirp)) {
             *s = x * c;
         }
-        self.conv_plan.forward(scratch);
-        for (x, y) in scratch.iter_mut().zip(&self.kernel_fft) {
+        work[self.n..].fill(Complex::ZERO);
+        self.conv_plan.forward(work);
+        for (x, y) in work.iter_mut().zip(&self.kernel_fft) {
             *x *= *y;
         }
-        self.conv_plan.inverse(scratch);
+        self.conv_plan.inverse(work);
     }
 
     /// Output bin `k` from the convolved scratch buffer.
@@ -126,69 +149,21 @@ impl BluesteinPlan {
     }
 }
 
-/// Bounded global cache of Bluestein plans, keyed by `(n, direction)`.
-/// A plan costs ~48 bytes/point; the bound keeps the cache modest even
-/// for large non-power-of-two trace lengths.
-const MAX_CACHED_PLANS: usize = 16;
-
-type BluesteinCache = Mutex<HashMap<(usize, bool), Arc<BluesteinPlan>>>;
-
-fn cache() -> &'static BluesteinCache {
-    static CACHE: OnceLock<BluesteinCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// Bluestein plans cached per direction; a plan costs ~48 bytes/point,
+/// and the bound (16 plans over both directions) keeps the caches modest
+/// even for large non-smooth trace lengths.
+const MAX_CACHED_PLANS_PER_DIRECTION: usize = 8;
 
 /// Returns the shared chirp-z plan for `(n, dir)`, building and caching
-/// it on first use (same discipline as [`crate::plan::plan_for`]).
+/// it on first use (LRU-bounded, like [`crate::plan::plan_for`]).
 pub fn bluestein_plan_for(n: usize, dir: Direction) -> Arc<BluesteinPlan> {
-    let key = (n, dir == Direction::Forward);
-    if let Some(plan) = cache().lock().expect("Bluestein plan cache poisoned").get(&key) {
-        return Arc::clone(plan);
-    }
-    // Built outside the lock: concurrent first callers may race to build
-    // the same plan, but the loser's copy is simply dropped.
-    let plan = Arc::new(BluesteinPlan::new(n, dir));
-    let mut map = cache().lock().expect("Bluestein plan cache poisoned");
-    if map.len() >= MAX_CACHED_PLANS {
-        map.clear();
-    }
-    Arc::clone(map.entry(key).or_insert(plan))
-}
-
-/// FFT of arbitrary length (in place semantics via owned return).
-///
-/// Dispatches to the radix-2 kernel for power-of-two lengths and to
-/// Bluestein's algorithm otherwise.
-pub fn fft_any(input: &[Complex], dir: Direction) -> Vec<Complex> {
-    let n = input.len();
-    if n <= 1 {
-        return input.to_vec();
-    }
-    if is_pow2(n) {
-        let mut buf = input.to_vec();
-        fft_pow2_in_place(&mut buf, dir);
-        return buf;
-    }
-    let mut out = Vec::new();
-    let mut scratch = Vec::new();
-    bluestein_plan_for(n, dir).process_into(input, &mut out, &mut scratch);
-    out
-}
-
-/// In-place-style [`fft_any`]: transforms the contents of `buf`, using
-/// `scratch` only for non-power-of-two lengths. With a reused `scratch`
-/// the power-of-two path allocates nothing and the Bluestein path only
-/// grows the scratch buffer once per size.
-pub fn fft_any_in_place(buf: &mut [Complex], scratch: &mut Vec<Complex>, dir: Direction) {
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    if is_pow2(n) {
-        fft_pow2_in_place(buf, dir);
-        return;
-    }
-    bluestein_plan_for(n, dir).process_in_place(buf, scratch);
+    static FORWARD: OnceLock<Mutex<LruPlans<BluesteinPlan>>> = OnceLock::new();
+    static INVERSE: OnceLock<Mutex<LruPlans<BluesteinPlan>>> = OnceLock::new();
+    let cache = match dir {
+        Direction::Forward => &FORWARD,
+        Direction::Inverse => &INVERSE,
+    };
+    lru_get_or_build(cache, n, MAX_CACHED_PLANS_PER_DIRECTION, || BluesteinPlan::new(n, dir)).0
 }
 
 #[cfg(test)]
@@ -211,13 +186,20 @@ mod tests {
             .collect()
     }
 
+    /// The chirp transform itself, whatever `fft_any` would dispatch to.
+    fn chirp(x: &[Complex], dir: Direction) -> Vec<Complex> {
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        bluestein_plan_for(x.len(), dir).process_into(x, &mut out, &mut scratch);
+        out
+    }
+
     #[test]
     fn matches_naive_for_awkward_sizes() {
-        for &n in &[3usize, 5, 6, 7, 12, 17, 30, 97, 100] {
+        for &n in &[3usize, 5, 6, 7, 12, 17, 30, 37, 97, 100] {
             let x: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64).sin(), (2.0 * i as f64).cos()))
                 .collect();
-            let got = fft_any(&x, Direction::Forward);
+            let got = chirp(&x, Direction::Forward);
             let want = naive_dft(&x, Direction::Forward);
             for (g, w) in got.iter().zip(&want) {
                 assert!((*g - *w).abs() < 1e-8, "n={n}: {g:?} vs {w:?}");
@@ -229,8 +211,8 @@ mod tests {
     fn inverse_round_trip_odd_length() {
         let n = 101;
         let x: Vec<Complex> = (0..n).map(|i| Complex::from_re(i as f64)).collect();
-        let y = fft_any(&x, Direction::Forward);
-        let z = fft_any(&y, Direction::Inverse);
+        let y = chirp(&x, Direction::Forward);
+        let z = chirp(&y, Direction::Inverse);
         for (orig, got) in x.iter().zip(&z) {
             assert!((*orig - got.scale(1.0 / n as f64)).abs() < 1e-8);
         }
@@ -244,17 +226,11 @@ mod tests {
         let x: Vec<Complex> = (0..n)
             .map(|i| Complex::from_re(((i * 37) % 101) as f64 / 101.0))
             .collect();
-        let y = fft_any(&x, Direction::Forward);
+        let y = chirp(&x, Direction::Forward);
         // Parseval: Σ|x|² = (1/n) Σ|X|².
         let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
         assert!((ex - ey).abs() / ex < 1e-9, "{ex} vs {ey}");
-    }
-
-    #[test]
-    fn length_one_is_identity() {
-        let x = vec![Complex::new(2.0, 3.0)];
-        assert_eq!(fft_any(&x, Direction::Forward), x);
     }
 
     #[test]
@@ -263,7 +239,7 @@ mod tests {
         let x: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.11).sin()))
             .collect();
-        let want = fft_any(&x, Direction::Forward);
+        let want = chirp(&x, Direction::Forward);
         let plan = bluestein_plan_for(n, Direction::Forward);
         let again = bluestein_plan_for(n, Direction::Forward);
         assert!(Arc::ptr_eq(&plan, &again));
@@ -271,19 +247,9 @@ mod tests {
         for _ in 0..3 {
             plan.process_into(&x, &mut out, &mut scratch);
             assert_eq!(out, want);
-        }
-    }
-
-    #[test]
-    fn in_place_any_matches_owned_for_both_branches() {
-        let mut scratch = Vec::new();
-        for &n in &[64usize, 100] {
-            let x: Vec<Complex> =
-                (0..n).map(|i| Complex::new(i as f64, -(i as f64) * 0.5)).collect();
-            let want = fft_any(&x, Direction::Forward);
             let mut buf = x.clone();
-            fft_any_in_place(&mut buf, &mut scratch, Direction::Forward);
-            assert_eq!(buf, want, "n={n}");
+            plan.process_in_place(&mut buf, &mut scratch);
+            assert_eq!(buf, want);
         }
     }
 }

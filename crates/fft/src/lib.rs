@@ -1,9 +1,18 @@
 //! # vbr-fft
 //!
 //! Self-contained FFT substrate for the VBR-video workspace: a complex
-//! type, an iterative radix-2 Cooley–Tukey kernel, Bluestein's chirp-z
-//! transform for arbitrary lengths, real-signal wrappers and FFT-based
-//! convolution/autocorrelation.
+//! type, a radix-4 power-of-two kernel, a mixed-radix kernel for smooth
+//! lengths, Bluestein's chirp-z transform for every other length,
+//! half-size real-signal plans and FFT-based convolution/autocorrelation.
+//!
+//! Arbitrary-length transforms ([`fft_any`], [`fft`], the real
+//! wrappers) dispatch on the length `n`:
+//!
+//! | `n` | kernel |
+//! |---|---|
+//! | power of two | [`FftPlan`] (radix-4, SoA twiddles) |
+//! | smooth: every prime factor ≤ [`MAX_PRIME_FACTOR`] | [`MixedRadixPlan`] |
+//! | anything else | [`BluesteinPlan`] (power-of-two convolution) |
 //!
 //! Everything downstream — periodograms (Fig 8), Whittle's estimator
 //! (Table 3), the Davies–Harte fractional-Gaussian-noise generator and
@@ -26,15 +35,16 @@ pub mod batch;
 pub mod bluestein;
 pub mod complex;
 pub mod convolve;
+pub mod mixed;
 pub mod plan;
 pub mod radix2;
 pub mod real;
-pub mod splitradix;
 pub mod width;
 
-pub use bluestein::{bluestein_plan_for, fft_any, fft_any_in_place, BluesteinPlan};
+pub use bluestein::{bluestein_plan_for, BluesteinPlan};
 pub use complex::Complex;
 pub use convolve::{autocorr_sums, autocorr_sums_into, convolve, convolve_into};
+pub use mixed::{is_smooth, mixed_plan_for, MixedRadixPlan, MAX_PRIME_FACTOR};
 pub use plan::{
     plan_cache_stats, plan_for, plan_size_histogram, reference_radix2, reset_plan_cache_stats,
     set_plan_cache_capacity, FftPlan, PlanCacheStats,
@@ -44,31 +54,98 @@ pub use real::{
     fft_real, fft_real_into, ifft_real, ifft_real_into, power_spectrum, power_spectrum_into,
     real_plan_for, RealFftPlan,
 };
-pub use splitradix::SplitRadixPlan;
 pub use width::{lanes, target_features, MAX_LANES};
 
-/// Forward DFT of a complex sequence (any length, unnormalised).
-///
-/// One output allocation; the transform itself runs through the
-/// in-place/plan machinery ([`fft_any_in_place`]).
-pub fn fft(x: &[Complex]) -> Vec<Complex> {
-    let mut buf = x.to_vec();
+use std::sync::Arc;
+
+/// FFT of arbitrary length into a new vector (unnormalised in both
+/// directions); see [`fft_any_in_place`] for the kernel dispatch.
+pub fn fft_any(input: &[Complex], dir: Direction) -> Vec<Complex> {
+    let mut buf = input.to_vec();
     let mut scratch = Vec::new();
-    fft_any_in_place(&mut buf, &mut scratch, Direction::Forward);
+    fft_any_in_place(&mut buf, &mut scratch, dir);
     buf
 }
 
+/// In-place FFT of arbitrary length: transforms the contents of `buf`
+/// (unnormalised) on the radix-4 plan for powers of two, the
+/// mixed-radix plan for smooth lengths and Bluestein otherwise.
+/// `scratch` is the work buffer of the last two kernels and is only
+/// ever grown, so with a reused `scratch` repeat calls at one length
+/// allocate nothing.
+pub fn fft_any_in_place(buf: &mut [Complex], scratch: &mut Vec<Complex>, dir: Direction) {
+    if buf.len() <= 1 {
+        return;
+    }
+    let plan = AnyPlan::new(buf.len(), dir);
+    grow(scratch, plan.work_len());
+    plan.process(buf, scratch);
+}
+
+/// One length's transform in one direction, on the kernel the length
+/// dispatch picks: the radix-4 plan for powers of two, the mixed-radix
+/// plan for smooth lengths, Bluestein for everything else. The one
+/// place that decision is made; [`RealFftPlan`] holds one of these for
+/// its half transform.
+#[derive(Debug, Clone)]
+pub(crate) enum AnyPlan {
+    Pow2(Arc<FftPlan>, Direction),
+    Mixed(Arc<MixedRadixPlan>, Direction),
+    Bluestein(Arc<BluesteinPlan>),
+}
+
+impl AnyPlan {
+    /// The cached plan for length `n ≥ 1` in direction `dir`.
+    pub(crate) fn new(n: usize, dir: Direction) -> AnyPlan {
+        if is_pow2(n) {
+            AnyPlan::Pow2(plan_for(n), dir)
+        } else if is_smooth(n) {
+            AnyPlan::Mixed(mixed_plan_for(n), dir)
+        } else {
+            AnyPlan::Bluestein(bluestein_plan_for(n, dir))
+        }
+    }
+
+    /// Work-buffer elements [`process`](Self::process) needs.
+    pub(crate) fn work_len(&self) -> usize {
+        match self {
+            AnyPlan::Pow2(..) => 0,
+            AnyPlan::Mixed(p, _) => p.len(),
+            AnyPlan::Bluestein(p) => p.work_len(),
+        }
+    }
+
+    /// In-place transform of `buf`; `work` holds at least
+    /// [`work_len`](Self::work_len) elements.
+    pub(crate) fn process(&self, buf: &mut [Complex], work: &mut [Complex]) {
+        match self {
+            AnyPlan::Pow2(p, dir) => p.process(buf, *dir),
+            AnyPlan::Mixed(p, dir) => p.process(buf, work, *dir),
+            AnyPlan::Bluestein(p) => p.process_with_work(buf, work),
+        }
+    }
+}
+
+/// Grows `v` to at least `len` elements (never shrinks, never re-zeroes
+/// what is already there: every caller overwrites its work buffer).
+fn grow(v: &mut Vec<Complex>, len: usize) {
+    if v.len() < len {
+        v.resize(len, Complex::ZERO);
+    }
+}
+
+/// Forward DFT of a complex sequence (any length, unnormalised).
+pub fn fft(x: &[Complex]) -> Vec<Complex> {
+    fft_any(x, Direction::Forward)
+}
+
 /// Inverse DFT of a complex sequence (any length), normalised by `1/n`.
-///
-/// One output allocation; see [`fft`].
 pub fn ifft(x: &[Complex]) -> Vec<Complex> {
     let n = x.len();
     if n == 0 {
         return Vec::new();
     }
-    let mut buf = x.to_vec();
-    let mut scratch = Vec::new();
-    fft_any_in_place(&mut buf, &mut scratch, Direction::Inverse);
+    let mut buf = fft_any(x, Direction::Inverse);
     let scale = 1.0 / n as f64;
     for z in &mut buf {
         *z = z.scale(scale);
@@ -99,6 +176,37 @@ mod tests {
         let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / x.len() as f64;
         assert!((ex - ey).abs() < 1e-9);
+    }
+
+    #[test]
+    fn length_one_is_identity() {
+        let x = vec![Complex::new(2.0, 3.0)];
+        assert_eq!(fft_any(&x, Direction::Forward), x);
+    }
+
+    #[test]
+    fn dispatch_matches_each_kernel() {
+        // One length per branch: radix-4, mixed-radix, Bluestein. A
+        // reused scratch sized by an earlier, larger branch must not
+        // leak into a later transform.
+        let mut scratch = Vec::new();
+        for &n in &[101usize, 64, 100] {
+            let x: Vec<Complex> =
+                (0..n).map(|i| Complex::new(i as f64, -(i as f64) * 0.5)).collect();
+            let mut want = x.clone();
+            let mut work = vec![Complex::ZERO; 4 * n];
+            if is_pow2(n) {
+                plan_for(n).forward(&mut want);
+            } else if is_smooth(n) {
+                MixedRadixPlan::new(n).process(&mut want, &mut work, Direction::Forward);
+            } else {
+                bluestein_plan_for(n, Direction::Forward).process_with_work(&mut want, &mut work);
+            }
+            let mut buf = x.clone();
+            fft_any_in_place(&mut buf, &mut scratch, Direction::Forward);
+            assert_eq!(buf, want, "n={n}");
+            assert_eq!(fft_any(&x, Direction::Forward), want, "n={n}");
+        }
     }
 
     #[test]

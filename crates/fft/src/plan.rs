@@ -469,16 +469,56 @@ pub fn reset_plan_cache_stats() {
     }
 }
 
-/// The cached plans plus a logical clock: each access stamps its entry,
-/// and eviction removes the entry with the oldest stamp.
-struct PlanCache {
-    map: HashMap<usize, (Arc<FftPlan>, u64)>,
+/// A length-keyed LRU map of shared plans: each access stamps its
+/// entry, and eviction removes the entry with the oldest stamp. Every
+/// plan kind (complex, real, mixed-radix) caches through one of these.
+pub(crate) struct LruPlans<P> {
+    map: HashMap<usize, (Arc<P>, u64)>,
     tick: u64,
 }
 
-fn cache() -> &'static Mutex<PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache { map: HashMap::new(), tick: 0 }))
+/// What one [`lru_get_or_build`] call did, for the instrumented cache.
+pub(crate) struct Lookup {
+    pub(crate) hit: bool,
+    pub(crate) evicted: u64,
+}
+
+/// Returns the cached plan for length `n`, building it with `build` on
+/// a miss and evicting least-recently-used plans beyond `cap`. The lock
+/// is held only for the map lookup and insert, never during plan
+/// construction or execution: concurrent first callers may race to
+/// build the same plan, but the loser's copy is simply dropped.
+pub(crate) fn lru_get_or_build<P>(
+    cache: &'static OnceLock<Mutex<LruPlans<P>>>,
+    n: usize,
+    cap: usize,
+    build: impl FnOnce() -> P,
+) -> (Arc<P>, Lookup) {
+    let cache = cache.get_or_init(|| Mutex::new(LruPlans { map: HashMap::new(), tick: 0 }));
+    {
+        let mut c = lock_counting_contention(cache);
+        c.tick += 1;
+        let tick = c.tick;
+        if let Some((plan, stamp)) = c.map.get_mut(&n) {
+            *stamp = tick;
+            return (Arc::clone(plan), Lookup { hit: true, evicted: 0 });
+        }
+    }
+    let plan = Arc::new(build());
+    let mut c = lock_counting_contention(cache);
+    c.tick += 1;
+    let tick = c.tick;
+    let mut evicted = 0;
+    while !c.map.contains_key(&n) && c.map.len() >= cap {
+        let Some(cold) = c.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) else {
+            break;
+        };
+        c.map.remove(&cold);
+        evicted += 1;
+    }
+    let entry = c.map.entry(n).or_insert((plan, tick));
+    entry.1 = tick;
+    (Arc::clone(&entry.0), Lookup { hit: false, evicted })
 }
 
 /// Returns the shared plan for length `n` (a power of two), building and
@@ -491,36 +531,18 @@ fn cache() -> &'static Mutex<PlanCache> {
 /// process that warmed 32 stale sizes paid full plan construction on
 /// every later call forever.)
 pub fn plan_for(n: usize) -> Arc<FftPlan> {
+    static CACHE: OnceLock<Mutex<LruPlans<FftPlan>>> = OnceLock::new();
     assert!(is_pow2(n), "FFT plans require a power-of-two length, got {n}");
     PLAN_SIZE_HIST[n.trailing_zeros() as usize].fetch_add(1, Ordering::Relaxed);
-    {
-        let mut cache = lock_counting_contention(cache());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((plan, stamp)) = cache.map.get_mut(&n) {
-            *stamp = tick;
-            PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
-        }
-        PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    // Built outside the lock: concurrent first callers may race to build
-    // the same plan, but the loser's copy is simply dropped.
-    let plan = Arc::new(FftPlan::new(n));
-    let mut cache = lock_counting_contention(cache());
-    cache.tick += 1;
-    let tick = cache.tick;
     let cap = PLAN_CACHE_CAP.load(Ordering::Relaxed) as usize;
-    while !cache.map.contains_key(&n) && cache.map.len() >= cap {
-        let Some(cold) = cache.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) else {
-            break;
-        };
-        cache.map.remove(&cold);
-        PLAN_EVICTIONS.fetch_add(1, Ordering::Relaxed);
+    let (plan, lookup) = lru_get_or_build(&CACHE, n, cap, || FftPlan::new(n));
+    if lookup.hit {
+        PLAN_HITS.fetch_add(1, Ordering::Relaxed);
+    } else {
+        PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
+        PLAN_EVICTIONS.fetch_add(lookup.evicted, Ordering::Relaxed);
     }
-    let entry = cache.map.entry(n).or_insert((plan, tick));
-    entry.1 = tick;
-    Arc::clone(&entry.0)
+    plan
 }
 
 #[cfg(test)]

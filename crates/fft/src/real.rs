@@ -4,26 +4,27 @@
 //! autocorrelation, circulant embedding) always starts from real `f64`
 //! series. Two layers live here:
 //!
-//! - The original conveniences ([`fft_real`], [`ifft_real`],
-//!   [`power_spectrum`]) widen the signal to complex and run the general
-//!   kernels — any length, including odd ones through Bluestein.
-//! - [`RealFftPlan`] is the half-size-complex fast path for even
-//!   power-of-two lengths: a length-`n` real transform runs as **one**
-//!   length-`n/2` complex FFT plus an `O(n)` twiddle pass, roughly
-//!   halving the work of the widen-to-complex route. Because a real
-//!   signal's spectrum is Hermitian (`X[n−k] = conj(X[k])`), only the
+//! - [`RealFftPlan`] is the half-size-complex fast path for every even
+//!   length: a length-`n` real transform runs as **one** length-`n/2`
+//!   complex FFT plus an `O(n)` twiddle pass, roughly halving the work
+//!   of the widen-to-complex route. The half-length transform takes the
+//!   crate's three-way dispatch (radix-4 for powers of two, mixed-radix
+//!   for smooth lengths, Bluestein otherwise). Because a real signal's
+//!   spectrum is Hermitian (`X[n−k] = conj(X[k])`), only the
 //!   half-spectrum `X[0..=n/2]` is ever materialised — which also halves
 //!   the workspace. The synthesis direction
 //!   ([`RealFftPlan::synthesize_hermitian`]) is the single hottest
 //!   operation of the Davies–Harte streaming pipeline: every circulant
 //!   window is the forward FFT of a Hermitian vector, and the plan turns
 //!   that into a half-length complex FFT over the half-spectrum alone.
+//! - The conveniences ([`fft_real`], [`ifft_real`], [`power_spectrum`])
+//!   run any length: even lengths through the plan above, odd lengths
+//!   by widening the signal to complex.
 
-use crate::bluestein::fft_any_in_place;
 use crate::complex::Complex;
-use crate::plan::{plan_for, FftPlan};
-use crate::radix2::{is_pow2, Direction};
-use std::collections::HashMap;
+use crate::plan::LruPlans;
+use crate::radix2::Direction;
+use crate::{fft_any_in_place, grow, AnyPlan};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Forward DFT of a real signal. Returns all `n` complex bins
@@ -39,10 +40,21 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
 }
 
 /// [`fft_real`] into caller-owned buffers: `spectrum` receives the `n`
-/// complex bins, `scratch` is working space for non-power-of-two lengths.
-/// Both are resized in place, so repeat calls at one length allocate
-/// nothing.
+/// complex bins, `scratch` is working space. Both are resized in place,
+/// so repeat calls at one length allocate nothing.
+///
+/// Even lengths run the half-size [`RealFftPlan`] and mirror the upper
+/// half; odd lengths widen the signal to complex.
 pub fn fft_real_into(signal: &[f64], spectrum: &mut Vec<Complex>, scratch: &mut Vec<Complex>) {
+    let n = signal.len();
+    if n >= 2 && n.is_multiple_of(2) {
+        real_plan_for(n).forward(signal, spectrum, scratch);
+        for k in n / 2 + 1..n {
+            let mirrored = spectrum[n - k].conj();
+            spectrum.push(mirrored);
+        }
+        return;
+    }
     spectrum.clear();
     spectrum.extend(signal.iter().map(|&v| Complex::from_re(v)));
     fft_any_in_place(spectrum, scratch, Direction::Forward);
@@ -88,22 +100,34 @@ pub fn power_spectrum(signal: &[f64]) -> Vec<f64> {
 }
 
 /// [`power_spectrum`] into caller-owned buffers; zero allocation once
-/// the buffers have grown to size.
+/// the buffers have grown to size. Even lengths square the half-spectrum
+/// and mirror it, so no `n`-bin complex spectrum is built.
 pub fn power_spectrum_into(
     signal: &[f64],
     out: &mut Vec<f64>,
     complex_scratch: &mut Vec<Complex>,
     scratch: &mut Vec<Complex>,
 ) {
-    fft_real_into(signal, complex_scratch, scratch);
+    let n = signal.len();
     out.clear();
+    if n >= 2 && n.is_multiple_of(2) {
+        real_plan_for(n).forward(signal, complex_scratch, scratch);
+        out.extend(complex_scratch.iter().map(|z| z.norm_sqr()));
+        for k in n / 2 + 1..n {
+            out.push(out[n - k]);
+        }
+        return;
+    }
+    fft_real_into(signal, complex_scratch, scratch);
     out.extend(complex_scratch.iter().map(|z| z.norm_sqr()));
 }
 
 /// Half-size-complex transform plan for real signals of one fixed even
-/// power-of-two length `n`.
+/// length `n`.
 ///
-/// Both directions route through one length-`n/2` complex FFT:
+/// Both directions route through one length-`n/2` complex FFT, taken by
+/// the crate's three-way length dispatch (radix-4 for powers of two,
+/// mixed-radix for smooth lengths, Bluestein otherwise):
 ///
 /// - **Forward** ([`forward`](Self::forward)): pack
 ///   `z[t] = x[2t] + i·x[2t+1]`, transform, then untwist the packed
@@ -124,8 +148,8 @@ pub fn power_spectrum_into(
 #[derive(Debug, Clone)]
 pub struct RealFftPlan {
     pub(crate) n: usize,
-    /// The length-`n/2` complex plan both directions execute.
-    pub(crate) half_plan: Arc<FftPlan>,
+    /// The length-`n/2` forward complex plan both directions execute.
+    pub(crate) half: AnyPlan,
     /// `ω^k = e^{−2πik/n}` for `k = 0..n/2`, split re/im, evaluated
     /// directly from `sin_cos` (one-ulp worst case, like [`FftPlan`]).
     pub(crate) tw_re: Vec<f64>,
@@ -133,13 +157,10 @@ pub struct RealFftPlan {
 }
 
 impl RealFftPlan {
-    /// Builds a plan for real transforms of length `n`, which must be an
-    /// even power of two (`n ≥ 2`).
+    /// Builds a plan for real transforms of length `n`, which must be
+    /// even (`n ≥ 2`).
     pub fn new(n: usize) -> RealFftPlan {
-        assert!(
-            is_pow2(n) && n >= 2,
-            "real FFT plans require an even power-of-two length >= 2, got {n}"
-        );
+        assert_even_length(n);
         let half = n / 2;
         let step = -2.0 * std::f64::consts::PI / n as f64;
         let mut tw_re = Vec::with_capacity(half);
@@ -149,7 +170,7 @@ impl RealFftPlan {
             tw_re.push(c);
             tw_im.push(s);
         }
-        RealFftPlan { n, half_plan: plan_for(half), tw_re, tw_im }
+        RealFftPlan { n, half: AnyPlan::new(half, Direction::Forward), tw_re, tw_im }
     }
 
     /// The real transform length this plan serves.
@@ -166,11 +187,20 @@ impl RealFftPlan {
     /// Forward DFT of the length-`n` real `signal` into the
     /// half-spectrum `spectrum[0..=n/2]` (`n/2 + 1` bins; the upper half
     /// of the full spectrum is its conjugate mirror). `scratch` holds the
-    /// packed length-`n/2` complex workspace; both buffers are resized in
-    /// place, so repeat calls allocate nothing.
-    pub fn forward(
+    /// packed length-`n/2` complex workspace, and `spectrum` doubles as
+    /// the half transform's work buffer; both are resized in place, so
+    /// repeat calls allocate nothing.
+    pub fn forward(&self, signal: &[f64], spectrum: &mut Vec<Complex>, scratch: &mut Vec<Complex>) {
+        self.forward_centred(signal, 0.0, spectrum, scratch);
+    }
+
+    /// [`forward`](Self::forward) of the shifted signal `signal[t] − mean`,
+    /// subtracted while packing so no centred copy is ever built. A zero
+    /// `mean` leaves every sample's bits unchanged.
+    pub fn forward_centred(
         &self,
         signal: &[f64],
+        mean: f64,
         spectrum: &mut Vec<Complex>,
         scratch: &mut Vec<Complex>,
     ) {
@@ -178,11 +208,10 @@ impl RealFftPlan {
         let half = n / 2;
         assert_eq!(signal.len(), n, "plan is for length {n}, got {}", signal.len());
         scratch.clear();
-        scratch.extend(
-            signal.chunks_exact(2).map(|p| Complex::new(p[0], p[1])),
-        );
-        self.half_plan.forward(scratch);
-        spectrum.clear();
+        scratch.extend(signal.chunks_exact(2).map(|p| Complex::new(p[0] - mean, p[1] - mean)));
+        grow(spectrum, self.half.work_len());
+        self.half.process(scratch, spectrum);
+        // Every bin is overwritten below.
         spectrum.resize(half + 1, Complex::ZERO);
         // Untwist: X[k] = (Y[k] + conj(Y[h−k]))/2 − (i/2)·ω^k·(Y[k] − conj(Y[h−k])),
         // with Y[h] ≡ Y[0]. DC and Nyquist come out exactly real.
@@ -242,11 +271,14 @@ impl RealFftPlan {
         assert_eq!(half.len(), h + 1, "plan needs {} half-spectrum bins, got {}", h + 1, half.len());
         // Resize only on first use / size change: every element below is
         // overwritten, so the old clear()+resize() pattern re-zeroed `h`
-        // complex slots per window for nothing.
-        if scratch.len() != h {
+        // complex slots per window for nothing. Past the `h` data slots
+        // sits the half transform's work buffer (none for powers of two).
+        let need = h + self.half.work_len();
+        if scratch.len() != need {
             scratch.clear();
-            scratch.resize(h, Complex::ZERO);
+            scratch.resize(need, Complex::ZERO);
         }
+        let (scratch, work) = scratch.split_at_mut(h);
         // Fold W[k] and W[k+h] = conj(W[h−k]) (k ≥ 1; W[h] at k = 0) into
         // C[k] = A[k] + i·B[k] with A[k] = W[k] + W[k+h] and
         // B[k] = (W[k] − W[k+h])·ω^k. The even/odd output interleave
@@ -271,7 +303,7 @@ impl RealFftPlan {
             let b_im = d.re * self.tw_im[k] + d.im * self.tw_re[k];
             scratch[k] = Complex::new(a.re - b_im, a.im + b_re);
         }
-        self.half_plan.forward(scratch);
+        self.half.process(scratch, work);
         if out.len() != n {
             out.clear();
             out.resize(n, 0.0);
@@ -288,47 +320,17 @@ impl RealFftPlan {
 /// circulant sizes at once.
 const MAX_CACHED_REAL_PLANS: usize = 16;
 
-struct RealPlanCache {
-    map: HashMap<usize, (Arc<RealFftPlan>, u64)>,
-    tick: u64,
+fn assert_even_length(n: usize) {
+    assert!(n >= 2 && n.is_multiple_of(2), "real FFT plans require an even length >= 2, got {n}");
 }
 
-fn real_cache() -> &'static Mutex<RealPlanCache> {
-    static CACHE: OnceLock<Mutex<RealPlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(RealPlanCache { map: HashMap::new(), tick: 0 }))
-}
-
-/// Returns the shared [`RealFftPlan`] for even power-of-two length `n`,
-/// building and caching it on first use (LRU-bounded, like
-/// [`plan_for`]). Thread-safe; the lock is never held during plan
-/// construction.
+/// Returns the shared [`RealFftPlan`] for even length `n`, building and
+/// caching it on first use (LRU-bounded, like [`crate::plan_for`]).
+/// Thread-safe; the lock is never held during plan construction.
 pub fn real_plan_for(n: usize) -> Arc<RealFftPlan> {
-    assert!(
-        is_pow2(n) && n >= 2,
-        "real FFT plans require an even power-of-two length >= 2, got {n}"
-    );
-    {
-        let mut cache = crate::plan::lock_counting_contention(real_cache());
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((plan, stamp)) = cache.map.get_mut(&n) {
-            *stamp = tick;
-            return Arc::clone(plan);
-        }
-    }
-    let plan = Arc::new(RealFftPlan::new(n));
-    let mut cache = crate::plan::lock_counting_contention(real_cache());
-    cache.tick += 1;
-    let tick = cache.tick;
-    while !cache.map.contains_key(&n) && cache.map.len() >= MAX_CACHED_REAL_PLANS {
-        let Some(cold) = cache.map.iter().min_by_key(|&(_, &(_, s))| s).map(|(&k, _)| k) else {
-            break;
-        };
-        cache.map.remove(&cold);
-    }
-    let entry = cache.map.entry(n).or_insert((plan, tick));
-    entry.1 = tick;
-    Arc::clone(&entry.0)
+    static CACHE: OnceLock<Mutex<LruPlans<RealFftPlan>>> = OnceLock::new();
+    assert_even_length(n);
+    crate::plan::lru_get_or_build(&CACHE, n, MAX_CACHED_REAL_PLANS, || RealFftPlan::new(n)).0
 }
 
 #[cfg(test)]
@@ -385,9 +387,11 @@ mod tests {
 
     #[test]
     fn plan_forward_matches_complex_path() {
-        for &n in &[2usize, 4, 8, 16, 64, 256, 1024] {
+        // Powers of two, smooth even lengths (mixed-radix half) and
+        // 2·prime lengths (Bluestein half).
+        for &n in &[2usize, 4, 6, 8, 12, 16, 30, 64, 74, 100, 256, 342, 1024, 2 * 1009] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
-            let full = fft_real(&x);
+            let full = crate::fft(&x.iter().map(|&v| Complex::from_re(v)).collect::<Vec<_>>());
             let plan = RealFftPlan::new(n);
             let (mut spec, mut scratch) = (Vec::new(), Vec::new());
             plan.forward(&x, &mut spec, &mut scratch);
@@ -403,8 +407,7 @@ mod tests {
 
     #[test]
     fn plan_synthesis_matches_complex_hermitian_fft() {
-        use crate::radix2::fft_pow2_in_place;
-        for &n in &[2usize, 4, 8, 32, 128, 2048] {
+        for &n in &[2usize, 4, 6, 8, 32, 74, 128, 360, 2048] {
             let h = n / 2;
             // A Hermitian spectrum: real DC/Nyquist, arbitrary interior.
             let mut half = vec![Complex::ZERO; h + 1];
@@ -418,7 +421,7 @@ mod tests {
                 full.push(half[k].conj());
             }
             assert_eq!(full.len(), n);
-            fft_pow2_in_place(&mut full, Direction::Forward);
+            let full = crate::fft(&full);
 
             let plan = RealFftPlan::new(n);
             let (mut out, mut scratch) = (Vec::new(), Vec::new());
@@ -434,7 +437,7 @@ mod tests {
 
     #[test]
     fn plan_forward_inverse_round_trip() {
-        for &n in &[2usize, 8, 64, 512] {
+        for &n in &[2usize, 8, 12, 64, 74, 512, 1000] {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.83).cos() - 0.2).collect();
             let plan = RealFftPlan::new(n);
             let (mut spec, mut back) = (Vec::new(), Vec::new());
@@ -456,8 +459,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
+    fn centred_forward_matches_forward_of_centred_copy() {
+        for &n in &[16usize, 90, 74] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin() * 3.0 + 7.5).collect();
+            let mean = x.iter().sum::<f64>() / n as f64;
+            let centred: Vec<f64> = x.iter().map(|&v| v - mean).collect();
+            let plan = real_plan_for(n);
+            let (mut a, mut b, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            plan.forward_centred(&x, mean, &mut a, &mut scratch);
+            plan.forward(&centred, &mut b, &mut scratch);
+            assert_eq!(a, b, "n={n}");
+        }
+    }
+
+    #[test]
+    fn even_lengths_use_half_size_packing_everywhere() {
+        // fft_real / power_spectrum at even lengths mirror the plan's
+        // half-spectrum; odd lengths still widen to complex.
+        for &n in &[12usize, 13, 74, 128] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos() + 0.1).collect();
+            let want = crate::fft(&x.iter().map(|&v| Complex::from_re(v)).collect::<Vec<_>>());
+            let got = fft_real(&x);
+            let p = power_spectrum(&x);
+            assert_eq!(got.len(), n);
+            assert_eq!(p.len(), n);
+            let scale = want.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
+            for k in 0..n {
+                assert!((got[k] - want[k]).abs() <= 1e-12 * scale, "n={n} k={k}");
+                assert!((p[k] - want[k].norm_sqr()).abs() <= 1e-12 * scale * scale, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "even length")]
     fn plan_rejects_odd_layout() {
-        RealFftPlan::new(12);
+        RealFftPlan::new(13);
     }
 }

@@ -3,6 +3,80 @@
 use proptest::prelude::*;
 use vbr_fft::{autocorr_sums, convolve, fft, ifft, plan_for, reference_radix2, Complex, Direction};
 
+/// Longest length the mixed-radix properties draw.
+const SMOOTH_MAX: usize = 4096;
+
+/// Every `2^a·3^b·5^c·p ≤ SMOOTH_MAX` (`p` = 1 or one prime in 7..=31),
+/// `n ≥ 2`, ascending.
+fn smooth_lengths() -> Vec<usize> {
+    (2..=SMOOTH_MAX)
+        .filter(|&n| {
+            let mut m = n;
+            for q in [2, 3, 5] {
+                while m % q == 0 {
+                    m /= q;
+                }
+            }
+            m == 1 || [7, 11, 13, 17, 19, 23, 29, 31].contains(&m)
+        })
+        .collect()
+}
+
+/// The O(n²) DFT with an exact `jk mod n` root table.
+fn naive_dft(x: &[Complex], dir: Direction) -> Vec<Complex> {
+    let n = x.len();
+    let sign = if dir == Direction::Forward { -1.0 } else { 1.0 };
+    let roots: Vec<Complex> = (0..n)
+        .map(|j| Complex::cis(sign * 2.0 * std::f64::consts::PI * j as f64 / n as f64))
+        .collect();
+    (0..n)
+        .map(|k| {
+            let mut acc = Complex::ZERO;
+            for (j, &v) in x.iter().enumerate() {
+                acc += v * roots[j * k % n];
+            }
+            acc
+        })
+        .collect()
+}
+
+/// The Bluestein chirp transform, bypassing the length dispatch.
+fn bluestein(x: &[Complex], dir: Direction) -> Vec<Complex> {
+    let mut buf = x.to_vec();
+    let mut scratch = Vec::new();
+    vbr_fft::bluestein_plan_for(x.len(), dir).process_in_place(&mut buf, &mut scratch);
+    buf
+}
+
+#[test]
+fn every_smooth_length_matches_bluestein_and_round_trips() {
+    // Exhaustive over the smooth lengths up to SMOOTH_MAX, both
+    // directions, against the chirp transform, plus the normalised
+    // forward/inverse round trip.
+    let mut work = Vec::new();
+    for n in smooth_lengths() {
+        let x: Vec<Complex> = (0..n)
+            .map(|i| Complex::new((i as f64 * 0.71).sin() * 50.0, (i as f64 * 0.23).cos() * 50.0))
+            .collect();
+        let plan = vbr_fft::mixed_plan_for(n);
+        work.resize(n, Complex::ZERO);
+        let mut y = x.clone();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut got = x.clone();
+            plan.process(&mut got, &mut work, dir);
+            let want = bluestein(&x, dir);
+            let scale = want.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
+            for k in 0..n {
+                assert!((got[k] - want[k]).abs() <= 1e-12 * scale, "n={n} {dir:?} bin {k}");
+            }
+            plan.process(&mut y, &mut work, dir);
+        }
+        for (t, (a, b)) in x.iter().zip(&y).enumerate() {
+            assert!((*a - b.scale(1.0 / n as f64)).abs() <= 1e-12 * 50.0, "n={n} round trip {t}");
+        }
+    }
+}
+
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex>> {
     prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1..max_len)
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex::new(re, im)).collect())
@@ -300,94 +374,64 @@ proptest! {
     }
 
     #[test]
-    fn split_radix_matches_radix2_reference(
-        logn in 0u32..12,
-        raw in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1usize << 11),
+    fn mixed_radix_matches_naive_dft_and_bluestein(
+        pick in 0usize..10_000,
+        raw in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), SMOOTH_MAX),
         dir_sel in 0u32..2,
     ) {
-        // The split-radix DIF kernel against the same scalar oracle the
-        // radix-4 plan is proven against, both directions, every size.
-        let n = 1usize << logn;
-        let forward = dir_sel == 0;
-        let x: Vec<Complex> = raw
-            .into_iter()
-            .take(n)
-            .map(|(re, im)| Complex::new(re, im))
-            .collect();
-        let dir = if forward { Direction::Forward } else { Direction::Inverse };
-        let plan = vbr_fft::SplitRadixPlan::new(n);
+        // A random 2·3·5(·p)-smooth length: the mixed-radix plan against
+        // the O(n²) DFT and the Bluestein chirp transform, ≤ 1e-12 of
+        // the spectrum scale, in the drawn direction.
+        let lens = smooth_lengths();
+        let n = lens[pick % lens.len()];
+        let dir = if dir_sel == 0 { Direction::Forward } else { Direction::Inverse };
+        let x: Vec<Complex> = raw.into_iter().take(n).map(|(re, im)| Complex::new(re, im)).collect();
         let mut got = x.clone();
-        plan.process(&mut got, dir);
-        let mut want = x;
-        reference_radix2(&mut want, dir);
+        let mut work = vec![Complex::ZERO; n];
+        vbr_fft::mixed_plan_for(n).process(&mut got, &mut work, dir);
+        let want = naive_dft(&x, dir);
+        let chirp = bluestein(&x, dir);
         let scale = want.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
-        for (k, (a, b)) in got.iter().zip(&want).enumerate() {
-            prop_assert!(
-                (*a - *b).abs() <= 1e-12 * scale,
-                "n={} fwd={} bin {}: {:?} vs {:?}", n, forward, k, a, b
-            );
+        for k in 0..n {
+            prop_assert!((got[k] - want[k]).abs() <= 1e-12 * scale, "n={} dft bin {}", n, k);
+            prop_assert!((got[k] - chirp[k]).abs() <= 1e-12 * scale, "n={} chirp bin {}", n, k);
         }
     }
 
     #[test]
-    fn split_radix_lanes_bit_identical_to_scalar(
-        logn in 0u32..9,
-        l in 1usize..9,
-        raw in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1usize << 8),
-        dir_sel in 0u32..2,
+    fn real_forward_matches_widened_at_any_even_length(
+        half in 1usize..2048,
+        raw in prop::collection::vec(-100.0f64..100.0, 4096),
     ) {
-        // Same §16 contract for the split-radix lane path.
-        let n = 1usize << logn;
-        let forward = dir_sel == 0;
-        let plan = vbr_fft::SplitRadixPlan::new(n);
-        let lanes: Vec<Vec<Complex>> = (0..l)
-            .map(|v| {
-                (0..n)
-                    .map(|j| {
-                        let (re, im) = raw[(j + 89 * v) % raw.len()];
-                        Complex::new(re, im)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut batch = vec![Complex::ZERO; n * l];
-        for (v, lane) in lanes.iter().enumerate() {
-            for (j, &z) in lane.iter().enumerate() {
-                batch[j * l + v] = z;
-            }
+        // Every even length, whichever kernel its half transform takes
+        // (radix-4, mixed-radix, or Bluestein for n = 2·prime): the
+        // half-size plan against the widen-to-complex transform.
+        let n = 2 * half;
+        let x: Vec<f64> = raw.into_iter().take(n).collect();
+        let plan = vbr_fft::real_plan_for(n);
+        let (mut spectrum, mut scratch, mut back) = (Vec::new(), Vec::new(), Vec::new());
+        plan.forward(&x, &mut spectrum, &mut scratch);
+        let want = fft(&x.iter().map(|&v| Complex::from_re(v)).collect::<Vec<_>>());
+        let scale = want.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
+        prop_assert_eq!(spectrum.len(), half + 1);
+        for (k, (a, b)) in spectrum.iter().zip(&want).enumerate() {
+            prop_assert!((*a - *b).abs() <= 1e-12 * scale, "n={} bin {}: {:?} vs {:?}", n, k, a, b);
         }
-        if forward {
-            plan.forward_lanes(&mut batch, l);
-        } else {
-            plan.inverse_lanes(&mut batch, l);
-        }
-        for (v, lane) in lanes.iter().enumerate() {
-            let mut solo = lane.clone();
-            if forward {
-                plan.forward(&mut solo);
-            } else {
-                plan.inverse(&mut solo);
-            }
-            for j in 0..n {
-                prop_assert_eq!(
-                    batch[j * l + v].re.to_bits(), solo[j].re.to_bits(),
-                    "split n={} l={} fwd={} lane {} bin {} re", n, l, forward, v, j
-                );
-                prop_assert_eq!(
-                    batch[j * l + v].im.to_bits(), solo[j].im.to_bits(),
-                    "split n={} l={} fwd={} lane {} bin {} im", n, l, forward, v, j
-                );
-            }
+        plan.inverse(&spectrum, &mut back, &mut scratch);
+        let xscale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        for (t, (a, b)) in x.iter().zip(&back).enumerate() {
+            prop_assert!((a - b).abs() <= 1e-12 * xscale, "n={} sample {}", n, t);
         }
     }
 
     #[test]
-    fn odd_length_real_input_through_bluestein(
+    fn odd_length_real_input_through_any_kernel(
         x in prop::collection::vec(-100.0f64..100.0, 3..41),
     ) {
         // Adversarial odd-layout case: a real signal at a length the
         // half-complex plan cannot serve (odd n routes fft_any through
-        // the Bluestein chirp transform). The spectrum must still be
+        // the mixed-radix plan when smooth, Bluestein otherwise — both
+        // occur in 3..41). The spectrum must still be
         // Hermitian and match the direct DFT — guarding the layout
         // assumptions shared with the real-FFT untwist tables.
         let n = x.len() - (1 - x.len() % 2); // force odd by dropping a sample

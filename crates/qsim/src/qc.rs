@@ -169,14 +169,6 @@ impl<'a> MuxSim<'a> {
     pub fn run(&self, capacity_bps: f64, buffer_bytes: f64) -> AveragedLoss {
         let _span = obs::span("qsim.mux_run");
         obs::counter_add(Counter::MuxRuns, 1);
-        // Per-run overflow accounting: the process-global counter keeps
-        // accumulating (monotone, as every counter must), but this run's
-        // own contribution is captured as a snapshot delta so callers —
-        // and the bench metrics — get a per-run figure instead of a
-        // process-lifetime sum. Concurrent runs on other threads can
-        // inflate the delta; the Q-C searches and benches that read it
-        // run their `MuxSim::run` calls one at a time.
-        let before = obs::CounterSnapshot::capture();
         // Overload is deliberately legal here (transient studies run below
         // the mean rate); `try_run` is the variant that rejects it.
         //
@@ -184,16 +176,20 @@ impl<'a> MuxSim<'a> {
         // six) replays run on the worker pool when the trace is long
         // enough to amortize the spawn cost; the metrics come back in
         // combo order and are summed left-to-right, making the averages
-        // bit-identical to the serial loop.
+        // bit-identical to the serial loop. Each replay also returns its
+        // own overflow-slot tally, so `overflow_slots` is exact per run
+        // however many runs other threads have in flight (no counter is
+        // ever read back — DESIGN.md §12).
         let slots_per_sec = (1.0 / self.dt).round() as usize;
         let work = self.trace.slice_bytes().len().saturating_mul(self.combos.len());
-        let per_combo: Vec<(f64, f64)> =
+        let per_combo: Vec<(f64, f64, u64)> =
             vbr_stats::par::par_map_sized(work, &self.combos, |combo| {
                 let mut cursor = ArrivalCursor::new(self.trace, combo);
                 let total = cursor.len();
                 let mut buf = [0.0f64; STREAM_CHUNK];
                 let mut q = FluidQueue::new(buffer_bytes, capacity_bps);
                 let mut worst = 0.0f64;
+                let mut overflow = 0u64;
                 let mut win_loss = 0.0;
                 let mut win_arr = 0.0;
                 let mut i = 0usize;
@@ -216,7 +212,9 @@ impl<'a> MuxSim<'a> {
                         };
                         let run = (k - pos).min(to_boundary);
                         let chunk = &buf[pos..pos + run];
-                        win_loss += q.step_block(chunk, self.dt);
+                        let (loss, slots) = q.step_block_tallied(chunk, self.dt);
+                        win_loss += loss;
+                        overflow += slots;
                         win_arr += vbr_stats::simd::sum_sequential(chunk);
                         pos += run;
                         i += run;
@@ -229,17 +227,17 @@ impl<'a> MuxSim<'a> {
                         }
                     }
                 }
-                (q.loss_rate(), worst)
+                (q.loss_rate(), worst, overflow)
             });
         let mut p_l = 0.0;
         let mut p_wes = 0.0;
-        for (l, w) in per_combo {
+        let mut overflow_slots = 0u64;
+        for (l, w, o) in per_combo {
             p_l += l;
             p_wes += w;
+            overflow_slots += o;
         }
         let k = self.combos.len() as f64;
-        let overflow_slots = obs::CounterSnapshot::capture()
-            .delta_of(&before, Counter::QueueOverflowSlots);
         AveragedLoss { p_l: p_l / k, p_wes: p_wes / k, overflow_slots }
     }
 
@@ -347,8 +345,8 @@ pub struct AveragedLoss {
     /// Worst-errored-second loss rate.
     pub p_wes: f64,
     /// Buffer-overflow slots in *this* run, summed over the lag
-    /// combinations (a per-run snapshot delta of the process-global
-    /// `queue_overflow_slots` counter, which itself keeps accumulating).
+    /// combinations — tallied by the replays themselves, so exact even
+    /// while other threads run lossy simulations.
     pub overflow_slots: u64,
 }
 
@@ -543,6 +541,41 @@ mod tests {
         assert_eq!(rerun.overflow_slots, lossy.overflow_slots);
         // A lossless run reports zero despite the lossy history.
         assert_eq!(sim.run(sim.peak_slot_rate(), 0.0).overflow_slots, 0);
+    }
+
+    #[test]
+    fn overflow_slots_exact_under_concurrent_lossy_runs() {
+        let t = test_trace();
+        let sim = MuxSim::new(&t, 1, 12);
+        let (c, b) = (sim.mean_rate() * 1.01, 100.0);
+        // Ground truth from the per-slot records of every combination.
+        let want: u64 = (0..sim.combos().len())
+            .map(|i| {
+                let r = sim.run_single(i, c, b);
+                r.loss_per_slot.iter().filter(|&&l| l > 0.0).count() as u64
+            })
+            .sum();
+        assert!(want > 0);
+        // A second thread keeps lossy runs in flight for the whole time
+        // the measured runs execute; it stops (and the asserts run) only
+        // once they are done, so a failure cannot strand the thread.
+        let noisy = MuxSim::new(&t, 1, 7);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (got, noisy_runs) = std::thread::scope(|s| {
+            let noise = s.spawn(|| {
+                let mut runs = 0u32;
+                while runs == 0 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    noisy.run(noisy.mean_rate() * 0.5, 10.0);
+                    runs += 1;
+                }
+                runs
+            });
+            let got: Vec<u64> = (0..8).map(|_| sim.run(c, b).overflow_slots).collect();
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            (got, noise.join().expect("noise thread"))
+        });
+        assert!(noisy_runs > 0);
+        assert!(got.iter().all(|&g| g == want), "overflow_slots {got:?}, want {want} every run");
     }
 
     #[test]

@@ -115,6 +115,15 @@ impl FluidQueue {
     /// left-to-right, exactly as a caller summing `step`'s return values
     /// from zero would.
     pub fn step_block(&mut self, arrivals: &[f64], dt: f64) -> f64 {
+        self.step_block_tallied(arrivals, dt).0
+    }
+
+    /// The [`step_block`](Self::step_block) recurrence, returning
+    /// `(block loss, overflow slots)`: the number of slots in this block
+    /// that lost bytes is a return value, exact whatever other threads
+    /// do. The process-global `queue_overflow_slots` counter still
+    /// receives the same tally, as a write-only side effect.
+    pub(crate) fn step_block_tallied(&mut self, arrivals: &[f64], dt: f64) -> (f64, u64) {
         debug_assert!(dt > 0.0);
         obs::hist_record(Hist::QueueBlockSlots, arrivals.len() as u64);
         let service = self.capacity_bps * dt;
@@ -146,7 +155,7 @@ impl FluidQueue {
         if overflow_slots > 0 {
             obs::counter_add(Counter::QueueOverflowSlots, overflow_slots);
         }
-        block_loss
+        (block_loss, overflow_slots)
     }
 
     /// Fallible [`step_block`](Self::step_block): validates `dt` and

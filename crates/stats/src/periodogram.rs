@@ -1,7 +1,7 @@
 //! The periodogram (empirical power spectral density) — Fig 8, and the
 //! input to Whittle's estimator (Table 3).
 
-use vbr_fft::power_spectrum;
+use vbr_fft::{fft_any_in_place, is_pow2, real_plan_for, Complex, Direction};
 
 /// A periodogram: Fourier frequencies `ω_j = 2πj/n` and intensities
 /// `I(ω_j) = |Σ x_t e^{-iω_j t}|² / (2πn)` for `j = 1..⌈n/2⌉`.
@@ -16,18 +16,36 @@ impl Periodogram {
     ///
     /// The mean is subtracted internally, so the DC bin is excluded by
     /// construction; frequencies run from `2π/n` up to `π`.
+    ///
+    /// Even non-power-of-two lengths (every paper trace: 171 000
+    /// frames, 1.8M slices) run the half-size real transform
+    /// ([`vbr_fft::RealFftPlan::forward_centred`]), which subtracts the
+    /// mean while packing and yields exactly the bins `0..=n/2`, so no
+    /// centred copy and no `n`-bin spectrum are built. Odd lengths widen
+    /// the centred series to complex, and so do powers of two: their
+    /// full-length radix-4 transform is already cheap, and keeping it
+    /// keeps their ordinates — and every fit and digest built on them —
+    /// bit-identical.
     pub fn compute(xs: &[f64]) -> Self {
         let n = xs.len();
         assert!(n >= 2, "periodogram needs at least 2 points");
         let mean = xs.iter().sum::<f64>() / n as f64;
-        let centred: Vec<f64> = xs.iter().map(|&x| x - mean).collect();
-        let spec = power_spectrum(&centred);
+        let mut spec = Vec::new();
+        let mut scratch = Vec::new();
+        if n.is_multiple_of(2) && !is_pow2(n) {
+            real_plan_for(n).forward_centred(xs, mean, &mut spec, &mut scratch);
+        } else {
+            spec.extend(xs.iter().map(|&x| Complex::from_re(x - mean)));
+            fft_any_in_place(&mut spec, &mut scratch, Direction::Forward);
+        }
+        // The packing buffer is dead; free it before the outputs grow.
+        drop(scratch);
         let half = n / 2;
         let norm = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
         let freqs = (1..=half)
             .map(|j| 2.0 * std::f64::consts::PI * j as f64 / n as f64)
             .collect();
-        let power = (1..=half).map(|j| spec[j] * norm).collect();
+        let power = spec[1..=half].iter().map(|z| z.norm_sqr() * norm).collect();
         Periodogram { freqs, power }
     }
 
@@ -143,6 +161,59 @@ mod tests {
         let low: f64 = p.power()[..k].iter().sum::<f64>() / k as f64;
         let high: f64 = p.power()[p.len() - k..].iter().sum::<f64>() / k as f64;
         assert!(low / high > 10.0);
+    }
+
+    /// The pre-mixed-radix periodogram: centred copy, widened to
+    /// complex, one full-length transform (`chirp` forces Bluestein).
+    fn full_length_reference(xs: &[f64], chirp: bool) -> Vec<f64> {
+        let n = xs.len();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let centred: Vec<f64> = xs.iter().map(|&x| x - mean).collect();
+        let mut buf: Vec<Complex> = centred.iter().map(|&v| Complex::from_re(v)).collect();
+        let mut scratch = Vec::new();
+        if chirp {
+            vbr_fft::bluestein_plan_for(n, Direction::Forward)
+                .process_in_place(&mut buf, &mut scratch);
+        } else {
+            fft_any_in_place(&mut buf, &mut scratch, Direction::Forward);
+        }
+        let norm = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
+        buf[1..=n / 2].iter().map(|z| z.norm_sqr() * norm).collect()
+    }
+
+    fn ar1_with_offset(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut x = 0.0;
+        (0..n)
+            .map(|_| {
+                x = 0.8 * x + rng.standard_normal();
+                x + 40.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paper_shaped_length_matches_bluestein_path() {
+        // 2⁶·3²·5³ = 72 000 has the 1.8M-slice series' factor shape: the
+        // half-size real plan (mixed-radix half) against the old
+        // full-length Bluestein route, within 1e-12 of the largest
+        // ordinate.
+        let xs = ar1_with_offset(72_000, 11);
+        let p = Periodogram::compute(&xs);
+        let want = full_length_reference(&xs, true);
+        let top = want.iter().cloned().fold(0.0f64, f64::max);
+        assert_eq!(p.power().len(), want.len());
+        for (j, (a, b)) in p.power().iter().zip(&want).enumerate() {
+            assert!((a - b).abs() <= 1e-12 * top, "ordinate {j}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn power_of_two_and_odd_lengths_keep_full_length_bits() {
+        for n in [4096usize, 4095] {
+            let xs = ar1_with_offset(n, 12);
+            assert_eq!(Periodogram::compute(&xs).power(), &full_length_reference(&xs, false)[..]);
+        }
     }
 
     #[test]
