@@ -1,14 +1,14 @@
 //! Prints a bit-level digest of every vectorised kernel's output on a
 //! fixed workload, one `name digest` line per kernel.
 //!
-//! This is the cross-flag *and* cross-width portability gate: the
-//! kernels are width-generic chunk loops dispatched once per process
-//! (see DESIGN.md §14), written so the chunk width cannot change output
-//! bits. CI builds this binary under default flags and
-//! `target-cpu=native`, runs each build at every forced width
-//! (`VBR_SIMD_WIDTH=2/4/8`) plus auto-detect, and diffs all outputs;
-//! any difference means a kernel's arithmetic order leaked a build-flag
-//! or lane-width dependence. The output deliberately contains no
+//! This is the cross-flag *and* cross-commit portability gate: the
+//! kernels are chunk loops at the compile-time width `LANES` (see
+//! DESIGN.md §14), written so neither the chunk width nor the build
+//! flags can change output bits. CI builds this binary under default
+//! flags and `target-cpu=native` and diffs both outputs against the
+//! checked-in `crates/bench/kernel_digest.golden`; any difference means
+//! a kernel's arithmetic order leaked a build-flag dependence or a
+//! change moved the bits. The output deliberately contains no
 //! width/feature banner — every line must be invariant.
 
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
@@ -82,12 +82,11 @@ fn main() {
     }
     println!("fft_radix4 {}", d.hex());
 
-    // Lane-parallel batched FFT at the dispatched lane count. The lane
-    // kernels are bit-identical per lane to the scalar plan for every
-    // `l`, so this digest must not move across forced widths even
-    // though `lanes()` itself differs — the strongest single check of
-    // the §16 lane contract.
-    let l = vbr_fft::lanes();
+    // Lane-parallel batched FFT at the cohort width. The lane kernels
+    // are bit-identical per lane to the scalar plan for every `l`, and
+    // the digest covers only the first two lanes, lane-major, so its
+    // words are the scalar transform's — the §16 lane contract.
+    let l = vbr_fft::LANES;
     let mut d = Digest::new();
     for logn in [12u32, 13] {
         let m = 1usize << logn;
@@ -213,15 +212,15 @@ fn main() {
     d.push(q.served().to_bits());
     println!("queue_step_block {}", d.hex());
 
-    // SoA helper kernels.
+    // SoA helper kernels, plus the normals scaled by PI.
     let words: Vec<u32> = normals.iter().map(|&x| x.to_bits() as u32).collect();
     let mut acc = vec![0.0f64; n];
     simd::accumulate_u32(&mut acc, &words);
-    let mut scaled = vec![0.0f64; n];
-    simd::scale_into(&mut scaled, &normals, std::f64::consts::PI);
     let mut d = Digest::new();
     d.push_f64s(&acc);
-    d.push_f64s(&scaled);
+    for &x in &normals {
+        d.push((x * std::f64::consts::PI).to_bits());
+    }
     d.push(simd::sum_sequential(&normals).to_bits());
     println!("simd_helpers {}", d.hex());
 }

@@ -52,6 +52,35 @@ pub fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Human-readable summary of the host's relevant CPU features, recorded
+/// next to the chunk width for bench provenance: entries are only
+/// comparable across hosts when these match.
+fn target_features() -> String {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut feats = vec!["sse2"]; // baseline of x86_64
+        for (name, have) in [
+            ("avx", std::arch::is_x86_feature_detected!("avx")),
+            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+            ("fma", std::arch::is_x86_feature_detected!("fma")),
+            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+        ] {
+            if have {
+                feats.push(name);
+            }
+        }
+        feats.join("+")
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        "neon".to_string()
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        "scalar".to_string()
+    }
+}
+
 /// One benchmark result: a measured time, optionally compared to a
 /// baseline measurement of the same work done the old/serial way.
 #[derive(Debug, Clone)]
@@ -205,7 +234,7 @@ impl PerfReport {
     /// time, plus the process peak RSS, so a checked-in report also
     /// records *what the benchmark exercised* (cache hits, fallbacks,
     /// overflow slots), not just how long it took. Schema v4 adds the
-    /// detected SIMD chunk width and CPU target features (entries are
+    /// SIMD chunk width (`LANES`) and CPU target features (entries are
     /// only comparable across hosts when these match), the documented
     /// regression tolerance the CI gate enforces (see
     /// [`check_against`]), and per-entry `metrics`: each entry's own
@@ -217,11 +246,11 @@ impl PerfReport {
         let _ = writeln!(s, "  \"schema\": \"vbr-bench/pipeline/v4\",");
         let _ = writeln!(s, "  \"host_threads\": {host_threads},");
         let _ = writeln!(s, "  \"rustc\": {},", json_str(rustc));
-        let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::lanes());
+        let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::LANES);
         let _ = writeln!(
             s,
             "  \"target_features\": {},",
-            json_str(&vbr_stats::simd::target_features())
+            json_str(&target_features())
         );
         let _ = writeln!(s, "  \"regression_tolerance\": {REGRESSION_TOLERANCE},");
         let _ = writeln!(
@@ -441,8 +470,9 @@ mod tests {
         r.record_vs("estimators", "whittle", 1.0, 0.25, (2, 5), "note \"quoted\"");
         let j = r.to_json(4, "rustc 1.99.0 (test)");
         assert!(j.contains("\"schema\": \"vbr-bench/pipeline/v4\""));
-        assert!(j.contains("\"simd_width\": "));
+        assert!(j.contains(&format!("\"simd_width\": {},", vbr_stats::simd::LANES)));
         assert!(j.contains("\"target_features\": "));
+        assert!(!target_features().is_empty());
         assert!(j.contains("\"regression_tolerance\": 1.15"));
         assert!(j.contains("\"metrics\": {"));
         assert!(j.contains("\"fft_plan_hit\":"));

@@ -111,9 +111,52 @@ fn collector_records_pipeline_spans() {
 #[test]
 fn library_code_never_reads_counters() {
     const READS: [&str; 3] = ["CounterSnapshot", "counter_value(", "counter_restore("];
-    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut offenders = Vec::new();
-    let mut scanned = 0;
+    for (path, text) in library_sources() {
+        if path.ends_with("stats/src/obs.rs") {
+            continue;
+        }
+        let library = text.split("#[cfg(test)]").next().unwrap_or("");
+        for read in READS {
+            if library.contains(read) {
+                offenders.push(format!("{}: {read}", path.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "library code reads counters: {offenders:?}"
+    );
+}
+
+/// DESIGN.md §14: the chunk width is the compile-time constant `LANES`,
+/// never a per-process decision. No library source outside `vbr-bench`
+/// (which records CPU features as bench provenance) may detect CPU
+/// features or read a width override.
+#[test]
+fn library_code_has_no_runtime_width_knob() {
+    // The env var name is split so a repo-wide search for it finds no
+    // live reference, this check included.
+    const KNOBS: [&str; 2] = ["is_x86_feature_detected", concat!("VBR_SIMD", "_WIDTH")];
+    let mut offenders = Vec::new();
+    for (path, text) in library_sources() {
+        for knob in KNOBS {
+            if text.contains(knob) {
+                offenders.push(format!("{}: {knob}", path.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "library code has a runtime width knob: {offenders:?}"
+    );
+}
+
+/// Every `.rs` file under `crates/*/src` except `vbr-bench`'s, with its
+/// text.
+fn library_sources() -> Vec<(std::path::PathBuf, String)> {
+    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut sources = Vec::new();
     let mut stack = Vec::new();
     for entry in std::fs::read_dir(&crates_dir).expect("crates dir") {
         let path = entry.expect("entry").path();
@@ -127,20 +170,16 @@ fn library_code_never_reads_counters() {
             let path = entry.expect("entry").path();
             if path.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && !path.ends_with("stats/src/obs.rs")
-            {
+            } else if path.extension().is_some_and(|e| e == "rs") {
                 let text = std::fs::read_to_string(&path).expect("readable source");
-                let library = text.split("#[cfg(test)]").next().unwrap_or("");
-                scanned += 1;
-                for read in READS {
-                    if library.contains(read) {
-                        offenders.push(format!("{}: {read}", path.display()));
-                    }
-                }
+                sources.push((path, text));
             }
         }
     }
-    assert!(scanned > 50, "scanned only {scanned} library sources");
-    assert!(offenders.is_empty(), "library code reads counters: {offenders:?}");
+    assert!(
+        sources.len() > 50,
+        "found only {} library sources",
+        sources.len()
+    );
+    sources
 }

@@ -39,7 +39,6 @@ pub mod mixed;
 pub mod plan;
 pub mod radix2;
 pub mod real;
-pub mod width;
 
 pub use bluestein::{bluestein_plan_for, BluesteinPlan};
 pub use complex::Complex;
@@ -54,9 +53,19 @@ pub use real::{
     fft_real, fft_real_into, ifft_real, ifft_real_into, power_spectrum, power_spectrum_into,
     real_plan_for, RealFftPlan,
 };
-pub use width::{lanes, target_features, MAX_LANES};
 
 use std::sync::Arc;
+
+/// The chunk width, in `f64` lanes, of every unrolled kernel in the
+/// workspace: the radix-4 butterflies here, the quantile, marginal-map
+/// and accumulation kernels in `vbr-stats` and `vbr-fgn`, and the
+/// cohort size of the lane-parallel window synthesis. It is a
+/// compile-time constant, so one code path is built and measured.
+/// Every kernel's per-element arithmetic is independent of where chunk
+/// boundaries fall, so the value shapes the unroll and never an output
+/// bit (DESIGN.md §14); the checked-in `kernel_digest.golden` pins the
+/// bits.
+pub const LANES: usize = 8;
 
 /// FFT of arbitrary length into a new vector (unnormalised in both
 /// directions); see [`fft_any_in_place`] for the kernel dispatch.

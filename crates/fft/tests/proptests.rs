@@ -279,9 +279,8 @@ proptest! {
     ) {
         // The §16 lane contract on the radix-4 plan: a lane-interleaved
         // batch of l signals transforms bit-identically to l scalar
-        // transforms, for EVERY lane count — l covers 1..8, which
-        // subsumes the dispatched widths (VBR_SIMD_WIDTH ∈ {2,4,8})
-        // plus the ragged counts a remainder group uses.
+        // transforms, for EVERY lane count — l covers 1..=8, the
+        // cohort width `LANES` and every count below it.
         let n = 1usize << logn;
         let forward = dir_sel == 0;
         let plan = plan_for(n);

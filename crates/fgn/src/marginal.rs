@@ -10,6 +10,7 @@
 //! truncation is one source of model error — we can quantify it).
 
 use vbr_stats::dist::ContinuousDist;
+use vbr_stats::simd::LANES;
 use vbr_stats::special::{norm_cdf, norm_quantile};
 
 /// How the target quantile function is evaluated.
@@ -204,11 +205,11 @@ impl<D: ContinuousDist> MarginalTransform<D> {
     /// streaming pipeline: a Gaussian block becomes a traffic block
     /// without any intermediate vector.
     ///
-    /// Table mode runs the blocked width-dispatched kernel; since each
+    /// Table mode runs the blocked [`LANES`]-chunk kernel; since each
     /// lane is the same inlined
     /// [`map_table_one`](Self::map_table_one) the scalar path uses,
     /// results are bit-identical to mapping one sample at a time, for
-    /// any block size and any chunk width.
+    /// any block size.
     pub fn map_inplace(&self, xs: &mut [f64]) {
         match self.mode {
             TableMode::Exact => {
@@ -216,30 +217,20 @@ impl<D: ContinuousDist> MarginalTransform<D> {
                     *x = self.map_exact(*x);
                 }
             }
-            TableMode::Table(_) => match vbr_stats::simd::lanes() {
-                2 => self.map_table_inplace_w::<2>(xs),
-                8 => self.map_table_inplace_w::<8>(xs),
-                _ => self.map_table_inplace_w::<4>(xs),
-            },
-        }
-    }
-
-    /// Fixed-width table-mode body of [`map_inplace`](Self::map_inplace)
-    /// — public so `kernel_digest` and the width benches can pin a
-    /// width. Panics (debug) if the transform is not in table mode.
-    pub fn map_table_inplace_w<const W: usize>(&self, xs: &mut [f64]) {
-        debug_assert!(matches!(self.mode, TableMode::Table(_)));
-        let mut chunks = xs.chunks_exact_mut(W);
-        for c in &mut chunks {
-            // W independent table walks; the standardise + fused-lerp
-            // arithmetic vectorizes, the (short, grid-accelerated)
-            // index chase stays scalar.
-            for x in c.iter_mut() {
-                *x = self.map_table_one(*x);
+            TableMode::Table(_) => {
+                let mut chunks = xs.chunks_exact_mut(LANES);
+                for c in &mut chunks {
+                    // LANES independent table walks; the standardise +
+                    // fused-lerp arithmetic vectorizes, the (short,
+                    // grid-accelerated) index chase stays scalar.
+                    for x in c.iter_mut() {
+                        *x = self.map_table_one(*x);
+                    }
+                }
+                for x in chunks.into_remainder() {
+                    *x = self.map_table_one(*x);
+                }
             }
-        }
-        for x in chunks.into_remainder() {
-            *x = self.map_table_one(*x);
         }
     }
 

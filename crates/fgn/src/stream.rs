@@ -49,7 +49,7 @@ use crate::davies_harte::{
 };
 use crate::error::FgnError;
 use std::sync::Arc;
-use vbr_fft::{next_pow2, real_plan_for, RealFftPlan};
+use vbr_fft::{next_pow2, real_plan_for, RealFftPlan, LANES};
 use vbr_stats::obs::{self, Counter};
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
@@ -215,7 +215,7 @@ impl SharedSpectrum {
     }
 }
 
-/// Window lookahead of a solo stream: `k = lanes()` future circulant
+/// Window lookahead of a solo stream: [`LANES`] future circulant
 /// windows synthesised in one lane-parallel pass, then consumed one per
 /// refill. The RNG state snapshot taken after each window's draws is
 /// grafted back on consumption, so export/restore observes exactly the
@@ -226,20 +226,20 @@ impl SharedSpectrum {
 #[derive(Debug, Clone, Default)]
 struct Prefetch {
     /// Lane-interleaved window samples at unit scale: sample `t` of
-    /// window `w` at `buf[t*k + w]`.
+    /// window `w` at `buf[t*LANES + w]`.
     buf: Vec<f64>,
-    /// Windows per lookahead batch (`lanes()` at synthesis time).
-    k: usize,
-    /// Next unconsumed window; `next >= k` means the lookahead is empty.
+    /// Next unconsumed window; `next >= rng_after.len()` means the
+    /// lookahead is empty.
     next: usize,
-    /// RNG state after each window's `m` draws.
+    /// RNG state after each window's `m` draws — one per window of the
+    /// current batch, none when nothing is prefetched.
     rng_after: Vec<Xoshiro256>,
     scratch: LaneSynthScratch,
 }
 
 impl Prefetch {
     fn clear(&mut self) {
-        self.next = self.k;
+        self.rng_after.clear();
     }
 }
 
@@ -340,7 +340,7 @@ pub struct CirculantStream {
     state: SourceState,
     scratch: WindowScratch,
     /// Lane-parallel window lookahead (spectrum streams only). Costs
-    /// `O(lanes() · m)` extra floats per stream — the one place the
+    /// `O(LANES · m)` extra floats per stream — the one place the
     /// engine trades memory for lane parallelism on a solo source.
     prefetch: Prefetch,
 }
@@ -388,7 +388,7 @@ impl CirculantStream {
     }
 
     /// Synthesises the next window, consuming the lane-parallel
-    /// lookahead (and refilling it `lanes()` windows at a time) on the
+    /// lookahead (and refilling it [`LANES`] windows at a time) on the
     /// spectrum path. Emitted bits and the externally visible state
     /// (RNG position, window, tail) are identical to the scalar
     /// [`refill_source`] at every refill — see [`Prefetch`].
@@ -410,14 +410,13 @@ impl CirculantStream {
         let pf = &mut self.prefetch;
         st.pos = 0;
         let m = sp.m();
-        if pf.next >= pf.k {
-            // Synthesise the next `lanes()` windows in one pass. Draws
-            // are sequential per window in the contract order, so the
-            // RNG stream is exactly the scalar stream's whatever `k` is.
-            pf.k = vbr_fft::lanes();
+        if pf.next >= pf.rng_after.len() {
+            // Synthesise the next LANES windows in one pass. Draws are
+            // sequential per window in the contract order, so the RNG
+            // stream is exactly the scalar stream's.
             pf.rng_after.clear();
-            let gauss = pf.scratch.gauss_rows(m, pf.k);
-            for w in 0..pf.k {
+            let gauss = pf.scratch.gauss_rows(m, LANES);
+            for w in 0..LANES {
                 // Uniforms only here; the RNG snapshot is taken at the
                 // same stream position either way since the quantile
                 // transform consumes no draws. One elementwise quantile
@@ -428,17 +427,17 @@ impl CirculantStream {
                 pf.rng_after.push(st.rng.clone());
             }
             vbr_stats::special::norm_quantile_slice(gauss);
-            synthesise_real_lanes_into(&sp.scales, &sp.plan, pf.k, &mut pf.scratch, &mut pf.buf);
+            synthesise_real_lanes_into(&sp.scales, &sp.plan, LANES, &mut pf.scratch, &mut pf.buf);
             pf.next = 0;
         }
-        let (w, k) = (pf.next, pf.k);
+        let w = pf.next;
         let (b, l) = (self.block, self.overlap);
         let sd = self.sd;
-        // Sample `t` of window `w` lives at `buf[t*k + w]`; the strided
+        // Sample `t` of window `w` lives at `buf[t*LANES + w]`; the strided
         // reads below apply the very expressions of the scalar refill.
         let win = &pf.buf;
         st.cur.clear();
-        st.cur.extend((0..b).map(|t| win[t * k + w] * sd));
+        st.cur.extend((0..b).map(|t| win[t * LANES + w] * sd));
         if st.started {
             if l > 0 {
                 obs::counter_add(Counter::SeamCrossFades, 1);
@@ -449,7 +448,7 @@ impl CirculantStream {
             }
         }
         st.tail.clear();
-        st.tail.extend((b..b + l).map(|t| win[t * k + w] * sd));
+        st.tail.extend((b..b + l).map(|t| win[t * LANES + w] * sd));
         st.started = true;
         // Graft back the post-window RNG snapshot: the stream's state is
         // now indistinguishable from having synthesised windows one at a

@@ -1,88 +1,44 @@
-//! Width-dispatched structure-of-arrays kernels for the pipeline's hot
-//! loops.
+//! Structure-of-arrays kernels for the pipeline's hot loops.
 //!
-//! Every kernel is plain safe Rust written as chunk-of-`W` loops over
-//! `f64` lanes — a shape LLVM reliably autovectorizes to SSE2/AVX/
-//! AVX-512 (or NEON) without explicit intrinsics. The chunk width is
-//! chosen **once per process** by [`lanes`] and then fixed:
+//! Every kernel is plain safe Rust written as chunk-of-[`LANES`] loops
+//! over `f64` lanes — a shape LLVM reliably autovectorizes to SSE2/AVX/
+//! AVX-512 (or NEON) without explicit intrinsics. The chunk width is the
+//! workspace-wide compile-time constant [`LANES`], shared with the FFT
+//! butterflies in `vbr-fft`:
 //!
-//! - **Dispatch is allowed only where it cannot change bits.** Every
-//!   width-generic kernel computes each output element with per-element
-//!   math independent of where chunk boundaries fall, or (for
-//!   reductions) preserves the exact scalar accumulation order at any
-//!   unroll factor. So 2-, 4- and 8-lane runs of the same kernel are
-//!   bit-identical — proven continuously by the `kernel_digest` binary,
-//!   which CI runs at every forced width plus `target-cpu=native` and
-//!   diffs the digests (see DESIGN.md §14).
-//! - **One decision per process.** [`lanes`] caches its answer in a
-//!   `OnceLock`: width never changes mid-run, so there is no boundary
-//!   where two widths could interleave.
-//! - **`VBR_SIMD_WIDTH` override.** Setting it to `2`, `4` or `8`
-//!   forces the width — how CI pins each width without rebuilding, and
-//!   the escape hatch if detection ever misfires on exotic hardware.
+//! - **The width shapes the unroll, never the bits.** Every kernel
+//!   computes each output element with per-element math independent of
+//!   where chunk boundaries fall, or (for reductions) preserves the
+//!   exact scalar accumulation order, so its output equals its scalar
+//!   twin bit for bit — pinned by the `kernel_digest` binary, whose
+//!   output CI diffs against a checked-in golden file under default
+//!   flags and `target-cpu=native` (see DESIGN.md §14).
 //! - **Scalar twins.** Each kernel keeps its obvious scalar equivalent
 //!   as the property-test oracle.
 //!
-//! See DESIGN.md §11 for the per-kernel accuracy budget and §14 for the
-//! width-dispatch policy (when dispatch is allowed, how bit-identity is
-//! enforced, how to add a new width).
+//! See DESIGN.md §11 for the per-kernel accuracy budget and §14 for why
+//! the width is one constant.
 
-/// The process-wide chunk width, delegated to [`vbr_fft::lanes`] so the
-/// FFT butterflies and every kernel here share ONE cached decision
-/// (`VBR_SIMD_WIDTH` override, else AVX-512F → 8, AVX2 → 4, else 2).
-pub use vbr_fft::{lanes, target_features, MAX_LANES};
-
-/// Back-compat alias for the pre-dispatch fixed width. Kernels no
-/// longer hard-code it; callers that sized buffers by it still work
-/// because chunk boundaries never affect results.
-pub const LANES: usize = 4;
-
-/// Routes a width-generic call through the process-wide width. The
-/// monomorphised bodies differ only in unroll factor, never in
-/// per-element arithmetic, so the choice is invisible in the output
-/// bits.
-macro_rules! dispatch_width {
-    ($w:ident => $call:expr) => {
-        match $crate::simd::lanes() {
-            2 => {
-                const $w: usize = 2;
-                $call
-            }
-            8 => {
-                const $w: usize = 8;
-                $call
-            }
-            _ => {
-                const $w: usize = 4;
-                $call
-            }
-        }
-    };
-}
-pub(crate) use dispatch_width;
+/// The chunk width of every unrolled kernel, re-exported from
+/// [`vbr_fft::LANES`] so the FFT butterflies and every kernel here share
+/// one value.
+pub use vbr_fft::LANES;
 
 /// `out[i] += src[i] as f64` — the multiplexer's arrival-aggregation
 /// kernel. Each output element receives exactly one convert + add, so
-/// the result is bit-identical to the scalar loop regardless of chunk
-/// width or where chunk boundaries fall.
+/// the result is bit-identical to the scalar loop wherever chunk
+/// boundaries fall.
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn accumulate_u32(out: &mut [f64], src: &[u32]) {
-    dispatch_width!(W => accumulate_u32_w::<W>(out, src))
-}
-
-/// Fixed-width body of [`accumulate_u32`]; public so `kernel_digest`
-/// and the width benches can pin a width explicitly.
-#[inline]
-pub fn accumulate_u32_w<const W: usize>(out: &mut [f64], src: &[u32]) {
     assert_eq!(out.len(), src.len(), "accumulate_u32: length mismatch");
-    let mut o = out.chunks_exact_mut(W);
-    let mut s = src.chunks_exact(W);
+    let mut o = out.chunks_exact_mut(LANES);
+    let mut s = src.chunks_exact(LANES);
     for (oc, sc) in (&mut o).zip(&mut s) {
-        // W independent convert+add lanes; LLVM lowers this to
+        // LANES independent convert+add lanes; LLVM lowers this to
         // vcvtudq2pd/vaddpd-shaped code with no cross-lane dependency.
-        for l in 0..W {
+        for l in 0..LANES {
             oc[l] += sc[l] as f64;
         }
     }
@@ -93,21 +49,14 @@ pub fn accumulate_u32_w<const W: usize>(out: &mut [f64], src: &[u32]) {
 
 /// Sum of a slice in strict left-to-right order, unrolled into chunk
 /// loads. The *accumulation order* is exactly the scalar `for` loop's
-/// (`(((a0+a1)+a2)+a3)+…`) at every width — the unroll removes
-/// loop-counter overhead, not the dependency chain — so totals are
-/// bit-identical to sequential `+=` accumulation. This is the kernel
-/// for window/byte accounting where the serial recurrence next door
-/// already fixes the order.
+/// (`(((a0+a1)+a2)+a3)+…`) — the unroll removes loop-counter overhead,
+/// not the dependency chain — so totals are bit-identical to sequential
+/// `+=` accumulation. This is the kernel for window/byte accounting
+/// where the serial recurrence next door already fixes the order.
 #[inline]
 pub fn sum_sequential(xs: &[f64]) -> f64 {
-    dispatch_width!(W => sum_sequential_w::<W>(xs))
-}
-
-/// Fixed-width body of [`sum_sequential`].
-#[inline]
-pub fn sum_sequential_w<const W: usize>(xs: &[f64]) -> f64 {
     let mut acc = 0.0f64;
-    let mut chunks = xs.chunks_exact(W);
+    let mut chunks = xs.chunks_exact(LANES);
     for c in &mut chunks {
         for &x in c {
             acc += x;
@@ -119,97 +68,34 @@ pub fn sum_sequential_w<const W: usize>(xs: &[f64]) -> f64 {
     acc
 }
 
-/// `dst[i] = src[i] * scale` over `W`-lane chunks; per-element, so
-/// width-invariant by construction.
-#[inline]
-pub fn scale_into(dst: &mut [f64], src: &[f64], scale: f64) {
-    dispatch_width!(W => scale_into_w::<W>(dst, src, scale))
-}
-
-/// Fixed-width body of [`scale_into`].
-#[inline]
-pub fn scale_into_w<const W: usize>(dst: &mut [f64], src: &[f64], scale: f64) {
-    assert_eq!(dst.len(), src.len(), "scale_into: length mismatch");
-    let mut d = dst.chunks_exact_mut(W);
-    let mut s = src.chunks_exact(W);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for l in 0..W {
-            dc[l] = sc[l] * scale;
-        }
-    }
-    for (d, &s) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *d = s * scale;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn lanes_is_stable_and_supported() {
-        let w = lanes();
-        assert!(w == 2 || w == 4 || w == 8, "unexpected width {w}");
-        assert_eq!(lanes(), w, "width must be cached");
-        assert!(w <= MAX_LANES);
-    }
-
-    #[test]
-    fn accumulate_matches_scalar_bitwise_at_every_width() {
+    fn accumulate_matches_scalar_twin_bitwise() {
         let src: Vec<u32> = (0..1031).map(|i| (i * 2654435761u32 as usize) as u32).collect();
         let base: Vec<f64> = (0..1031).map(|i| i as f64 * 0.37).collect();
         let mut want = base.clone();
         for (o, &s) in want.iter_mut().zip(&src) {
             *o += s as f64;
         }
-        for (w, run) in [
-            (2usize, accumulate_u32_w::<2> as fn(&mut [f64], &[u32])),
-            (4, accumulate_u32_w::<4>),
-            (8, accumulate_u32_w::<8>),
-        ] {
-            let mut out = base.clone();
-            run(&mut out, &src);
-            assert_eq!(out, want, "width {w}");
-        }
         let mut out = base.clone();
         accumulate_u32(&mut out, &src);
-        assert_eq!(out, want, "dispatched");
+        assert_eq!(out, want);
     }
 
     #[test]
-    fn sum_sequential_matches_scalar_bitwise_at_every_width() {
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 17, 1000] {
+    fn sum_sequential_matches_scalar_twin_bitwise() {
+        // Lengths straddle 0, 1, 2 and 3 whole chunks of LANES.
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 1000] {
             let xs: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.761).sin() * 1e6).collect();
             let mut want = 0.0f64;
             for &x in &xs {
                 want += x;
             }
-            assert_eq!(sum_sequential_w::<2>(&xs).to_bits(), want.to_bits(), "w=2 n={n}");
-            assert_eq!(sum_sequential_w::<4>(&xs).to_bits(), want.to_bits(), "w=4 n={n}");
-            assert_eq!(sum_sequential_w::<8>(&xs).to_bits(), want.to_bits(), "w=8 n={n}");
-            assert_eq!(sum_sequential(&xs).to_bits(), want.to_bits(), "dispatched n={n}");
+            assert_eq!(sum_sequential(&xs).to_bits(), want.to_bits(), "n={n}");
         }
-    }
-
-    #[test]
-    fn scale_into_matches_scalar_at_every_width() {
-        let src: Vec<f64> = (0..101).map(|i| i as f64 - 50.0).collect();
-        for w in [2usize, 4, 8] {
-            let mut dst = vec![0.0; 101];
-            match w {
-                2 => scale_into_w::<2>(&mut dst, &src, 0.125),
-                4 => scale_into_w::<4>(&mut dst, &src, 0.125),
-                _ => scale_into_w::<8>(&mut dst, &src, 0.125),
-            }
-            for (d, &s) in dst.iter().zip(&src) {
-                assert_eq!(*d, s * 0.125, "width {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn target_features_is_nonempty() {
-        assert!(!target_features().is_empty());
     }
 
     #[test]

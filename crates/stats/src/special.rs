@@ -7,6 +7,8 @@
 //! Acklam's inverse-normal rational approximation with a Halley
 //! refinement step).
 
+use crate::simd::LANES;
+
 /// Natural log of the Gamma function, Lanczos approximation (g = 7, n = 9).
 ///
 /// Accurate to ~1e-13 relative over the positive axis; uses the reflection
@@ -422,103 +424,56 @@ pub fn norm_quantile(p: f64) -> f64 {
 /// In-place batch `Φ⁻¹`: replaces every probability in `ps` with its
 /// normal quantile. Bit-identical to mapping [`norm_quantile`] over the
 /// slice (same per-element math, so results do not depend on chunk
-/// boundaries or chunk width), but structured for the bulk case:
-/// `lanes()`-wide chunks whose central-branch polynomial runs as
-/// straight-line vectorizable code, with the (~15% of draws) tail lanes
-/// fixed up scalarly.
+/// boundaries), but structured for the bulk case: [`LANES`]-wide chunks
+/// whose central-branch polynomial runs as straight-line vectorizable
+/// code, with the (~15% of draws) tail lanes deferred to a lane-staged
+/// tail pass.
 ///
 /// Endpoints follow [`norm_quantile`]: `0 → −∞`, `1 → +∞`. Panics if
 /// any element is outside `[0, 1]`.
 pub fn norm_quantile_slice(ps: &mut [f64]) {
-    crate::simd::dispatch_width!(W => norm_quantile_slice_w::<W>(ps))
-}
-
-/// Lane-staged tail evaluation for `W` deferred elements: the same
-/// per-element expression sequence as [`norm_quantile_tail`] (so bits
-/// are identical), but laid out as straight maps over `W` lanes. The
-/// tail branch is *latency*-bound scalar — three serial Horner chains
-/// plus a divide and a sqrt — so running `W` independent lanes
-/// side-by-side hides most of that latency even where the compiler
-/// only unrolls. Callers guarantee every element is a genuine finite
-/// tail (`0 < p < 1`, `|p − ½| > 0.425`).
-#[inline(always)]
-fn tail_lanes<const W: usize>(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
-    let mut q = [0.0f64; W];
-    let mut r = [0.0f64; W];
-    let mut num = [0.0f64; W];
-    let mut den = [0.0f64; W];
-    for l in 0..W {
-        q[l] = orig[l] - 0.5;
-    }
-    for l in 0..W {
-        let p0 = if q[l] < 0.0 { orig[l] } else { 1.0 - orig[l] };
-        r[l] = fast_neg_ln(p0);
-    }
-    for rv in &mut r {
-        *rv = rv.sqrt();
-    }
-    for l in 0..W {
-        let t = r[l] - 1.6;
-        num[l] = horner8(t, &PPND_C);
-        den[l] = horner7_monic(t, &PPND_D);
-    }
-    for l in 0..W {
-        // r > 5 means p < e^{−25} ≈ 1.4e-11 — essentially never for
-        // uniform draws; recompute those few with the far-tail ratio.
-        let x = if r[l] <= 5.0 {
-            num[l] / den[l]
-        } else {
-            ppnd_ratio(r[l] - 5.0, &PPND_E, &PPND_F)
-        };
-        ps[idx[l]] = if q[l] < 0.0 { -x } else { x };
-    }
-}
-
-/// Fixed-width body of [`norm_quantile_slice`]; public so
-/// `kernel_digest` and the width benches can pin a width explicitly.
-pub fn norm_quantile_slice_w<const W: usize>(ps: &mut [f64]) {
-    const { assert!(W <= 8, "tail deferral buffers assume W <= 8") };
-    // Deferred tail lanes, flushed W at a time through `tail_lanes`.
-    // Up to W−1 carried between chunks plus W from the current chunk.
-    let mut tidx = [0usize; 16];
-    let mut torig = [0.0f64; 16];
+    // Deferred tail lanes, flushed LANES at a time through `tail_lanes`.
+    // Up to LANES−1 carried between chunks plus LANES from the current
+    // chunk.
+    let mut tidx = [0usize; 2 * LANES];
+    let mut torig = [0.0f64; 2 * LANES];
     let mut tcnt = 0usize;
     let n = ps.len();
-    let main = n - n % W;
+    let main = n - n % LANES;
     let mut base = 0;
     while base < main {
         {
-            let c = &mut ps[base..base + W];
-            // Run the central branch unconditionally over all W lanes
-            // as staged lane arrays: each pass is a straight map over
-            // W elements, which SLP-vectorizes wholesale — including
-            // the divide, which the fused per-element form left
-            // scalar. The per-element expressions are exactly those of
-            // `norm_quantile_central`, so central-lane bits are
-            // unchanged. Tail lanes (|p − ½| > 0.425, ~15% of draws)
-            // get a garbage central value — the argument r stays in
-            // [−0.07, 0.18] where the denominator cannot vanish, so
-            // nothing traps — and are deferred to the lane-staged tail
-            // pass. The old shape bailed the *whole* chunk to scalar
-            // when any lane was a tail, which at W = 8 sent ~73% of
-            // chunks down the slow path.
-            let mut orig = [0.0f64; W];
+            let c = &mut ps[base..base + LANES];
+            // Run the central branch unconditionally over all LANES
+            // lanes as staged lane arrays: each pass is a straight map
+            // over LANES elements, which SLP-vectorizes wholesale —
+            // including the divide, which the fused per-element form
+            // left scalar. The per-element expressions are exactly
+            // those of `norm_quantile_central`, so central-lane bits
+            // are unchanged. Tail lanes (|p − ½| > 0.425, ~15% of
+            // draws) get a garbage central value — the argument r
+            // stays in [−0.07, 0.18] where the denominator cannot
+            // vanish, so nothing traps — and are deferred to the
+            // lane-staged tail pass. The old shape bailed the *whole*
+            // chunk to scalar when any lane was a tail, which at 8
+            // lanes sent ~73% of chunks down the slow path.
+            let mut orig = [0.0f64; LANES];
             orig.copy_from_slice(c);
-            let mut q = [0.0f64; W];
-            let mut num = [0.0f64; W];
-            let mut den = [0.0f64; W];
-            for l in 0..W {
+            let mut q = [0.0f64; LANES];
+            let mut num = [0.0f64; LANES];
+            let mut den = [0.0f64; LANES];
+            for l in 0..LANES {
                 q[l] = c[l] - 0.5;
             }
-            for l in 0..W {
+            for l in 0..LANES {
                 let r = PPND_CENTRAL * PPND_CENTRAL - q[l] * q[l];
                 num[l] = horner8(r, &PPND_A);
                 den[l] = horner7_monic(r, &PPND_B);
             }
-            for l in 0..W {
+            for l in 0..LANES {
                 c[l] = q[l] * (num[l] / den[l]);
             }
-            for l in 0..W {
+            for l in 0..LANES {
                 // Negated form so NaN lands in the scalar arm, whose
                 // range assert rejects it — matching the all-scalar
                 // behaviour. Note: re-deriving p as q + 0.5 would lose
@@ -542,17 +497,58 @@ pub fn norm_quantile_slice_w<const W: usize>(ps: &mut [f64]) {
                 }
             }
         }
-        if tcnt >= W {
-            tcnt -= W;
-            tail_lanes::<W>(ps, &tidx[tcnt..tcnt + W], &torig[tcnt..tcnt + W]);
+        if tcnt >= LANES {
+            tcnt -= LANES;
+            tail_lanes(ps, &tidx[tcnt..tcnt + LANES], &torig[tcnt..tcnt + LANES]);
         }
-        base += W;
+        base += LANES;
     }
     for p in &mut ps[main..] {
         *p = norm_quantile(*p);
     }
     for i in 0..tcnt {
         ps[tidx[i]] = norm_quantile(torig[i]);
+    }
+}
+
+/// Lane-staged tail evaluation for [`LANES`] deferred elements: the
+/// same per-element expression sequence as [`norm_quantile_tail`] (so
+/// bits are identical), but laid out as straight maps over the lanes.
+/// The tail branch is *latency*-bound scalar — three serial Horner
+/// chains plus a divide and a sqrt — so running independent lanes
+/// side-by-side hides most of that latency even where the compiler
+/// only unrolls. Callers guarantee every element is a genuine finite
+/// tail (`0 < p < 1`, `|p − ½| > 0.425`).
+#[inline(always)]
+fn tail_lanes(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
+    let mut q = [0.0f64; LANES];
+    let mut r = [0.0f64; LANES];
+    let mut num = [0.0f64; LANES];
+    let mut den = [0.0f64; LANES];
+    for l in 0..LANES {
+        q[l] = orig[l] - 0.5;
+    }
+    for l in 0..LANES {
+        let p0 = if q[l] < 0.0 { orig[l] } else { 1.0 - orig[l] };
+        r[l] = fast_neg_ln(p0);
+    }
+    for rv in &mut r {
+        *rv = rv.sqrt();
+    }
+    for l in 0..LANES {
+        let t = r[l] - 1.6;
+        num[l] = horner8(t, &PPND_C);
+        den[l] = horner7_monic(t, &PPND_D);
+    }
+    for l in 0..LANES {
+        // r > 5 means p < e^{−25} ≈ 1.4e-11 — essentially never for
+        // uniform draws; recompute those few with the far-tail ratio.
+        let x = if r[l] <= 5.0 {
+            num[l] / den[l]
+        } else {
+            ppnd_ratio(r[l] - 5.0, &PPND_E, &PPND_F)
+        };
+        ps[idx[l]] = if q[l] < 0.0 { -x } else { x };
     }
 }
 
