@@ -12,7 +12,7 @@
 //! width/feature banner — every line must be invariant.
 
 use vbr_fft::{plan_for, real_plan_for, Complex, Direction};
-use vbr_fgn::{BatchFgn, DaviesHarte, MarginalTransform, TableMode};
+use vbr_fgn::{BatchStream, DaviesHarte, MarginalTransform, SourceModel, TableMode};
 use vbr_qsim::FluidQueue;
 use vbr_stats::dist::GammaPareto;
 use vbr_stats::rng::Xoshiro256;
@@ -172,7 +172,8 @@ fn main() {
 
     // Shared-spectrum batch generation: 3 sources' draws plus one
     // mid-stream export/restore into a fresh batch.
-    let mut batch = BatchFgn::try_new(0.8, 1.0, 512, &[5, 6, 7]).expect("valid params");
+    let fgn = SourceModel::Fgn { hurst: 0.8 };
+    let mut batch = BatchStream::try_new(fgn, 1.0, 512, None, &[5, 6, 7]).expect("valid params");
     let mut d = Digest::new();
     let mut block = vec![0.0f64; 512];
     for _ in 0..3 {
@@ -182,7 +183,8 @@ fn main() {
         }
     }
     let saved = batch.export_state(1);
-    let mut resumed = BatchFgn::try_new(0.8, 1.0, 512, &[5, 6, 7]).expect("valid params");
+    let mut resumed =
+        BatchStream::try_new(fgn, 1.0, 512, None, &[5, 6, 7]).expect("valid params");
     resumed.restore_state(1, &saved).expect("own export restores");
     resumed.next_block(1, &mut block);
     d.push_f64s(&block);

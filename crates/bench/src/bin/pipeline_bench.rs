@@ -47,7 +47,7 @@ use vbr_bench::perf::{
 };
 use vbr_bench::{Corruption, FaultInjector};
 use vbr_fft::{fft_pow2_in_place, reference_radix2, Complex, Direction, FftPlan};
-use vbr_fgn::{BatchFgn, DaviesHarte, FgnStream, MarginalTransform, TableMode};
+use vbr_fgn::{BatchStream, DaviesHarte, FgnStream, MarginalTransform, TableMode};
 use vbr_lrd::{
     robust_hurst, whittle_objective_direct, SpectralModel, WhittleObjective,
 };
@@ -1411,7 +1411,7 @@ fn bench_streaming(sizes: &Sizes, report: &mut PerfReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-generation tier: B independent FgnStreams vs one BatchFgn over a
+// Batch-generation tier: B independent FgnStreams vs one BatchStream over a
 // shared spectrum. Draw sequences are bit-identical source for source
 // (asserted below); what the batch buys is one circulant spectrum + one
 // FFT plan + one scratch window for the whole fleet instead of per
@@ -1430,7 +1430,8 @@ fn bench_batch_fgn(sizes: &Sizes, report: &mut PerfReport) {
     // One-time bit-identity assertion so the timing below is provably
     // comparing equal work: batch source i == independent stream i.
     {
-        let mut batch = BatchFgn::try_new(0.8, 1.0, block, &seeds).expect("valid params");
+        let fgn = SourceModel::Fgn { hurst: 0.8 };
+        let mut batch = BatchStream::try_new(fgn, 1.0, block, None, &seeds).expect("valid params");
         let mut a = vec![0.0f64; block];
         let mut b = vec![0.0f64; block];
         for (i, &seed) in seeds.iter().enumerate() {
@@ -1465,7 +1466,8 @@ fn bench_batch_fgn(sizes: &Sizes, report: &mut PerfReport) {
     });
     let t_batch = time_median(1, reps, || {
         let h = fresh_h();
-        let mut batch = BatchFgn::try_new(h, 1.0, block, &seeds).expect("valid params");
+        let fgn = SourceModel::Fgn { hurst: h };
+        let mut batch = BatchStream::try_new(fgn, 1.0, block, None, &seeds).expect("valid params");
         let mut acc = 0.0;
         for _ in 0..rounds {
             for i in 0..n_sources {
@@ -1652,7 +1654,8 @@ fn bench_fleet(sizes: &Sizes, report: &mut PerfReport) {
 // Model zoo tier
 // ---------------------------------------------------------------------------
 
-/// Per-family generation throughput through the common [`TrafficModel`]
+/// Per-family generation throughput through the common
+/// [`TrafficModel`](vbr_fgn::TrafficModel)
 /// seam: fit the three-model zoo once from a screenplay reference, then
 /// time each family producing `hurst_n` samples. No baseline — these
 /// entries pin absolute generation cost per family so a fitting or

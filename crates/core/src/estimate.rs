@@ -180,7 +180,7 @@ pub fn try_estimate_trace(
 }
 
 /// Estimates the four parameters from `n` samples drawn out of *any*
-/// [`TrafficModel`] — the estimation side of the model-zoo seam: every
+/// [`TrafficModel`](vbr_fgn::TrafficModel) — the estimation side of the model-zoo seam: every
 /// family is scored by exactly the same estimator stack it would face as
 /// a real trace. The model is advanced by `n` samples.
 pub fn estimate_model(

@@ -17,7 +17,7 @@
 //!
 //! Each lane's arithmetic is exactly the scalar plan's arithmetic: the
 //! lane loops call the same value-level cores
-//! ([`crate::plan::radix4_core`], the fold expressions of
+//! (`plan::radix4_core`, the fold expressions of
 //! [`RealFftPlan`]) at the same indices in the same stage order. No
 //! operation ever mixes lanes. A lane-batched transform is therefore
 //! **bit-identical** per lane to `l` scalar transforms, for every `l` —

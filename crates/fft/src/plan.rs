@@ -514,7 +514,7 @@ pub(crate) fn lru_get_or_build<P>(
 /// caching it on first use. Thread-safe; the lock is held only for the
 /// map lookup, never during plan construction or execution.
 ///
-/// The cache holds at most [`MAX_CACHED_PLANS`] sizes; admitting a new
+/// The cache holds at most `MAX_CACHED_PLANS` sizes; admitting a new
 /// size beyond that evicts the least-recently-used plan only. (The old
 /// policy refused to cache new sizes once full, so a long-running
 /// process that warmed 32 stale sizes paid full plan construction on

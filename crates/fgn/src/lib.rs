@@ -44,7 +44,7 @@ pub use cache::{
     farima_acf_cached, farima_circulant_spectrum_cached, fgn_acvf_cached,
     fgn_circulant_spectrum_cached,
 };
-pub use batch::{BatchFarima, BatchFgn, BatchStream};
+pub use batch::{BatchStream, SourceModel, MAX_CIRCULANT_LEN};
 pub use davies_harte::{circulant_spectrum, fbm_path, DaviesHarte};
 pub use error::FgnError;
 pub use hosking::Hosking;
@@ -52,6 +52,4 @@ pub use marginal::{MarginalTransform, TableMode};
 pub use mwm::{MwmConfig, MwmModel};
 pub use robust::{FgnEngine, RobustFgn, RobustFgnResult};
 pub use traffic::{TraceReplay, TrafficModel, TRAFFIC_STATE_TAG};
-pub use stream::{
-    farima_via_circulant, BlockSource, CirculantStream, FarimaStream, FgnStream, StreamState,
-};
+pub use stream::{farima_via_circulant, BlockSource, FarimaStream, FgnStream, StreamState};

@@ -207,7 +207,7 @@ impl<D: ContinuousDist> MarginalTransform<D> {
     ///
     /// Table mode runs the blocked [`LANES`]-chunk kernel; since each
     /// lane is the same inlined
-    /// [`map_table_one`](Self::map_table_one) the scalar path uses,
+    /// `map_table_one` the scalar path uses,
     /// results are bit-identical to mapping one sample at a time, for
     /// any block size.
     pub fn map_inplace(&self, xs: &mut [f64]) {

@@ -1,5 +1,11 @@
 //! Bounded-memory block streaming of LRD Gaussian sample paths.
 //!
+//! [`FgnStream`] and [`FarimaStream`] are one-source
+//! [`BatchStream`]s: the circulant engine, its three refill paths and
+//! the solo lookahead live in [`crate::batch`]; this module holds the
+//! solo entry points, their exactness contract, and the checkpoint
+//! state format shared with the batch engine.
+//!
 //! Batch Davies–Harte holds the whole circulant (`2n` complex values) in
 //! memory, so a 16M-slice trace costs ~0.5 GB of transform workspace
 //! before the trace itself exists. The streams here instead synthesise
@@ -42,15 +48,9 @@
 //! windows are independent realisations); the overlap length bounds how
 //! far the seam error reaches.
 
-use crate::cache::{farima_circulant_spectrum_cached, fgn_circulant_spectrum_cached};
-use crate::davies_harte::{
-    synthesise_real_into, synthesise_real_lanes_into, synthesise_real_with, LaneSynthScratch,
-    SpectrumScales, SynthScratch,
-};
+use crate::batch::{BatchStream, SourceModel};
+use crate::davies_harte::{synthesise_real_into, SynthScratch};
 use crate::error::FgnError;
-use std::sync::Arc;
-use vbr_fft::{next_pow2, real_plan_for, RealFftPlan, LANES};
-use vbr_stats::obs::{self, Counter};
 use vbr_stats::rng::Xoshiro256;
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 
@@ -64,438 +64,15 @@ pub trait BlockSource {
     fn next_block(&mut self, out: &mut [f64]);
 }
 
-/// Validates a block/overlap pair (`block ≥ 1`, `overlap ≤ block`).
-pub(crate) fn check_geometry(block: usize, overlap: usize) -> Result<(), FgnError> {
-    if block == 0 {
-        return Err(vbr_stats::error::NumericError::OutOfRange {
-            what: "stream block size (must be >= 1)",
-            value: 0.0,
-            lo: 1.0,
-            hi: f64::INFINITY,
-        }
-        .into());
-    }
-    if overlap > block {
-        return Err(vbr_stats::error::NumericError::OutOfRange {
-            what: "stream overlap (must be <= block)",
-            value: overlap as f64,
-            lo: 0.0,
-            hi: block as f64,
-        }
-        .into());
-    }
-    Ok(())
-}
-
-/// Per-source dynamic state of a circulant stream: the RNG, the window
-/// being emitted, the seam tail, and the emit position. Everything that
-/// differs between two sources driven by the same spectrum lives here —
-/// the batch engine ([`crate::batch::BatchStream`]) holds one of these
-/// per source over a *shared* spectrum and scratch, which is what makes
-/// batched draws bit-identical to independent streams by construction.
-#[derive(Debug, Clone)]
-pub(crate) struct SourceState {
-    pub(crate) rng: Xoshiro256,
-    /// The `block` samples currently being emitted.
-    pub(crate) cur: Vec<f64>,
-    /// Exact tail of the previous window, cross-faded into the next.
-    pub(crate) tail: Vec<f64>,
-    pub(crate) pos: usize,
-    pub(crate) started: bool,
-    /// Owner identity carried through export/restore so a source moved
-    /// between batch groups (shard migration) keeps its tenant, not just
-    /// its positional index. `0` for solo streams.
-    pub(crate) tenant: u64,
-}
-
-impl SourceState {
-    pub(crate) fn new(rng: Xoshiro256, block: usize, overlap: usize) -> Self {
-        SourceState {
-            rng,
-            cur: Vec::with_capacity(block),
-            tail: Vec::with_capacity(overlap),
-            pos: 0,
-            started: false,
-            tenant: 0,
-        }
-    }
-
-    /// Exports the dynamic state for checkpointing.
-    pub(crate) fn export(&self) -> StreamState {
-        StreamState {
-            rng: self.rng.state(),
-            cur: self.cur.clone(),
-            tail: self.tail.clone(),
-            pos: self.pos,
-            started: self.started,
-            tenant: self.tenant,
-        }
-    }
-
-    /// Grafts an exported state onto this source after validating every
-    /// structural invariant against the owning stream's geometry
-    /// (`block`, `overlap`, and whether it is the white-noise path).
-    /// Nothing is mutated until everything checks out.
-    pub(crate) fn restore(
-        &mut self,
-        st: &StreamState,
-        block: usize,
-        overlap: usize,
-        white_noise: bool,
-    ) -> Result<(), SnapshotError> {
-        let rng = Xoshiro256::from_state(st.rng)
-            .ok_or(SnapshotError::Invalid { what: "all-zero rng state" })?;
-        if !(st.cur.is_empty() || st.cur.len() == block) {
-            return Err(SnapshotError::Invalid { what: "window length != stream block" });
-        }
-        if !(st.tail.is_empty() || st.tail.len() == overlap) {
-            return Err(SnapshotError::Invalid { what: "tail length != stream overlap" });
-        }
-        if st.pos > st.cur.len() {
-            return Err(SnapshotError::Invalid { what: "emit position past window end" });
-        }
-        if white_noise && (st.started || !st.tail.is_empty()) {
-            return Err(SnapshotError::Invalid { what: "seam state on a white-noise stream" });
-        }
-        if !white_noise && !st.started {
-            // `started` flips on the first circulant refill; the only
-            // pre-start state is the empty one. (White-noise streams
-            // never set it and were handled above.)
-            if !(st.cur.is_empty() && st.tail.is_empty() && st.pos == 0) {
-                return Err(SnapshotError::Invalid { what: "window present before first refill" });
-            }
-        }
-        if st.cur.iter().chain(st.tail.iter()).any(|v| !v.is_finite()) {
-            return Err(SnapshotError::Invalid { what: "non-finite sample in stream state" });
-        }
-        self.rng = rng;
-        self.cur.clear();
-        self.cur.extend_from_slice(&st.cur);
-        self.tail.clear();
-        self.tail.extend_from_slice(&st.tail);
-        self.pos = st.pos;
-        self.started = st.started;
-        self.tenant = st.tenant;
-        Ok(())
-    }
-}
-
-/// Window-synthesis workspace shared across refills (and, in the batch
-/// engine, across *sources*): the real synthesis scratch plus the `m`
-/// real samples of the current circulant window.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowScratch {
-    pub(crate) synth: SynthScratch,
-    /// The `m` real samples of the freshly synthesised window.
-    pub(crate) win: Vec<f64>,
-}
-
-/// Everything a refill needs that is a pure function of the circulant
-/// spectrum: the precomputed per-bin amplitudes and the real-FFT plan.
-/// Built once at stream construction, shared (`Arc`) across a batch
-/// group, so the hot loop never touches the plan cache's mutex or
-/// recomputes `√(λ_k/2m)`.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedSpectrum {
-    pub(crate) scales: Arc<SpectrumScales>,
-    pub(crate) plan: Arc<RealFftPlan>,
-}
-
-impl SharedSpectrum {
-    pub(crate) fn new(lambda: &[f64]) -> Self {
-        SharedSpectrum {
-            scales: Arc::new(SpectrumScales::new(lambda)),
-            plan: real_plan_for(lambda.len()),
-        }
-    }
-
-    /// Circulant transform length `m`.
-    pub(crate) fn m(&self) -> usize {
-        self.scales.m()
-    }
-}
-
-/// Window lookahead of a solo stream: [`LANES`] future circulant
-/// windows synthesised in one lane-parallel pass, then consumed one per
-/// refill. The RNG state snapshot taken after each window's draws is
-/// grafted back on consumption, so export/restore observes exactly the
-/// scalar stream's state at every point — lookahead is invisible to the
-/// checkpoint format and to every emitted bit (window `w`'s samples
-/// depend only on window `w`'s draws, and the lane FFT is bit-identical
-/// per lane).
-#[derive(Debug, Clone, Default)]
-struct Prefetch {
-    /// Lane-interleaved window samples at unit scale: sample `t` of
-    /// window `w` at `buf[t*LANES + w]`.
-    buf: Vec<f64>,
-    /// Next unconsumed window; `next >= rng_after.len()` means the
-    /// lookahead is empty.
-    next: usize,
-    /// RNG state after each window's `m` draws — one per window of the
-    /// current batch, none when nothing is prefetched.
-    rng_after: Vec<Xoshiro256>,
-    scratch: LaneSynthScratch,
-}
-
-impl Prefetch {
-    fn clear(&mut self) {
-        self.rng_after.clear();
-    }
-}
-
-/// Synthesises the next window of one source, cross-fading the seam.
-/// This is the engine step shared verbatim by [`CirculantStream`] and
-/// the batch engine — one source's refill depends only on its own
-/// [`SourceState`], so interleaving sources over a shared scratch
-/// cannot change any output bit.
-pub(crate) fn refill_source(
-    spectrum: Option<&SharedSpectrum>,
-    sd: f64,
-    block: usize,
-    overlap: usize,
-    st: &mut SourceState,
-    scratch: &mut WindowScratch,
-) {
-    let _span = obs::span("fgn.stream_refill");
-    obs::counter_add(Counter::StreamBlocks, 1);
-    st.pos = 0;
-    let Some(spectrum) = spectrum else {
-        // White-noise path: batch-draw the block through the
-        // vectorized quantile kernel, then scale. Per-element values
-        // are bit-identical to the old per-sample loop.
-        st.cur.clear();
-        st.cur.resize(block, 0.0);
-        st.rng.fill_standard_normal(&mut st.cur);
-        for x in &mut st.cur {
-            *x *= sd;
-        }
-        return;
-    };
-    synthesise_real_with(
-        &spectrum.scales,
-        &spectrum.plan,
-        &mut st.rng,
-        &mut scratch.synth,
-        &mut scratch.win,
-    );
-    let (b, l) = (block, overlap);
-    st.cur.clear();
-    st.cur.extend(scratch.win[..b].iter().map(|x| x * sd));
-    if st.started {
-        // Power-preserving cross-fade against the previous tail:
-        // weights sum to one in *variance*, so the N(0, σ²) marginal
-        // is preserved exactly at every blended sample.
-        if l > 0 {
-            obs::counter_add(Counter::SeamCrossFades, 1);
-        }
-        for i in 0..l {
-            let a = (i + 1) as f64 / (l + 1) as f64;
-            st.cur[i] = (1.0 - a).sqrt() * st.tail[i] + a.sqrt() * st.cur[i];
-        }
-    }
-    st.tail.clear();
-    st.tail.extend(scratch.win[b..b + l].iter().map(|x| x * sd));
-    st.started = true;
-}
-
-/// Fills `out` with the next `out.len()` samples of one source — the
-/// chunked emit loop shared by [`CirculantStream::next_block`] and the
-/// batch engine.
-pub(crate) fn next_block_source(
-    spectrum: Option<&SharedSpectrum>,
-    sd: f64,
-    block: usize,
-    overlap: usize,
-    st: &mut SourceState,
-    scratch: &mut WindowScratch,
-    out: &mut [f64],
-) {
-    let mut filled = 0;
-    while filled < out.len() {
-        if st.pos >= st.cur.len() {
-            refill_source(spectrum, sd, block, overlap, st, scratch);
-        }
-        let take = (out.len() - filled).min(st.cur.len() - st.pos);
-        out[filled..filled + take].copy_from_slice(&st.cur[st.pos..st.pos + take]);
-        st.pos += take;
-        filled += take;
-    }
-}
-
-/// The engine shared by [`FgnStream`] and [`FarimaStream`]: an infinite
-/// iterator over overlapped circulant windows of a fixed spectrum.
-///
-/// All buffers (the synthesis scratch, `cur`, `tail`) are allocated once
-/// at construction and reused every window, so steady-state generation
-/// allocates nothing.
-#[derive(Debug, Clone)]
-pub struct CirculantStream {
-    sd: f64,
-    block: usize,
-    overlap: usize,
-    /// `None` is the degenerate `block == 1` white-noise path (matching
-    /// the batch generators' `n == 1` special case, where the circulant
-    /// machinery is bypassed entirely).
-    spectrum: Option<SharedSpectrum>,
-    state: SourceState,
-    scratch: WindowScratch,
-    /// Lane-parallel window lookahead (spectrum streams only). Costs
-    /// `O(LANES · m)` extra floats per stream — the one place the
-    /// engine trades memory for lane parallelism on a solo source.
-    prefetch: Prefetch,
-}
-
-impl CirculantStream {
-    /// Builds a stream over an explicit circulant spectrum (`None` for
-    /// the white-noise path). Geometry must already be validated; the
-    /// spectrum window must cover `block + overlap` samples
-    /// (`lambda.len()/2 + 1 ≥ block + overlap`).
-    fn from_spectrum(
-        spectrum: Option<Arc<Vec<f64>>>,
-        sd: f64,
-        block: usize,
-        overlap: usize,
-        rng: Xoshiro256,
-    ) -> Self {
-        if let Some(lambda) = &spectrum {
-            debug_assert!(lambda.len() / 2 + 1 >= block + overlap);
-        }
-        CirculantStream {
-            sd,
-            block,
-            overlap,
-            spectrum: spectrum.map(|l| SharedSpectrum::new(&l)),
-            state: SourceState::new(rng, block, overlap),
-            scratch: WindowScratch::default(),
-            prefetch: Prefetch::default(),
-        }
-    }
-
-    /// Emitted samples per window.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// Samples cross-faded at each window seam.
-    pub fn overlap(&self) -> usize {
-        self.overlap
-    }
-
-    /// Circulant transform length per window (`0` on the white-noise
-    /// path) — the memory scale of the stream.
-    pub fn circulant_len(&self) -> usize {
-        self.spectrum.as_ref().map_or(0, |sp| sp.m())
-    }
-
-    /// Synthesises the next window, consuming the lane-parallel
-    /// lookahead (and refilling it [`LANES`] windows at a time) on the
-    /// spectrum path. Emitted bits and the externally visible state
-    /// (RNG position, window, tail) are identical to the scalar
-    /// [`refill_source`] at every refill — see [`Prefetch`].
-    fn refill(&mut self) {
-        let Some(sp) = &self.spectrum else {
-            refill_source(
-                None,
-                self.sd,
-                self.block,
-                self.overlap,
-                &mut self.state,
-                &mut self.scratch,
-            );
-            return;
-        };
-        let _span = obs::span("fgn.stream_refill");
-        obs::counter_add(Counter::StreamBlocks, 1);
-        let st = &mut self.state;
-        let pf = &mut self.prefetch;
-        st.pos = 0;
-        let m = sp.m();
-        if pf.next >= pf.rng_after.len() {
-            // Synthesise the next LANES windows in one pass. Draws are
-            // sequential per window in the contract order, so the RNG
-            // stream is exactly the scalar stream's.
-            pf.rng_after.clear();
-            let gauss = pf.scratch.gauss_rows(m, LANES);
-            for w in 0..LANES {
-                // Uniforms only here; the RNG snapshot is taken at the
-                // same stream position either way since the quantile
-                // transform consumes no draws. One elementwise quantile
-                // pass below then covers all k windows — bit-identical
-                // to per-window `fill_standard_normal`, with the
-                // kernel's setup cost amortised over the prefetch.
-                st.rng.fill_open01(&mut gauss[w * m..(w + 1) * m]);
-                pf.rng_after.push(st.rng.clone());
-            }
-            vbr_stats::special::norm_quantile_slice(gauss);
-            synthesise_real_lanes_into(&sp.scales, &sp.plan, LANES, &mut pf.scratch, &mut pf.buf);
-            pf.next = 0;
-        }
-        let w = pf.next;
-        let (b, l) = (self.block, self.overlap);
-        let sd = self.sd;
-        // Sample `t` of window `w` lives at `buf[t*LANES + w]`; the strided
-        // reads below apply the very expressions of the scalar refill.
-        let win = &pf.buf;
-        st.cur.clear();
-        st.cur.extend((0..b).map(|t| win[t * LANES + w] * sd));
-        if st.started {
-            if l > 0 {
-                obs::counter_add(Counter::SeamCrossFades, 1);
-            }
-            for i in 0..l {
-                let a = (i + 1) as f64 / (l + 1) as f64;
-                st.cur[i] = (1.0 - a).sqrt() * st.tail[i] + a.sqrt() * st.cur[i];
-            }
-        }
-        st.tail.clear();
-        st.tail.extend((b..b + l).map(|t| win[t * LANES + w] * sd));
-        st.started = true;
-        // Graft back the post-window RNG snapshot: the stream's state is
-        // now indistinguishable from having synthesised windows one at a
-        // time (export/restore relies on this).
-        st.rng = pf.rng_after[w].clone();
-        pf.next += 1;
-    }
-
-    /// Fills `out` with the next `out.len()` samples of the stream —
-    /// the chunked equivalent of calling [`Iterator::next`] in a loop,
-    /// without per-sample dispatch.
-    pub fn next_block(&mut self, out: &mut [f64]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if self.state.pos >= self.state.cur.len() {
-                self.refill();
-            }
-            let st = &mut self.state;
-            let take = (out.len() - filled).min(st.cur.len() - st.pos);
-            out[filled..filled + take].copy_from_slice(&st.cur[st.pos..st.pos + take]);
-            st.pos += take;
-            filled += take;
-        }
-    }
-}
-
-impl Iterator for CirculantStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.state.pos >= self.state.cur.len() {
-            self.refill();
-        }
-        let v = self.state.cur[self.state.pos];
-        self.state.pos += 1;
-        Some(v)
-    }
-}
-
-/// The dynamic (per-run) state of a circulant stream, exportable for
+/// The dynamic (per-run) state of one circulant source, exportable for
 /// checkpoint/restore.
 ///
 /// Configuration — Hurst, variance, block, overlap, and hence the
 /// circulant spectrum — is deliberately *not* part of the state: a
 /// restore target is rebuilt from its own configuration (whose
 /// parameter hash the snapshot envelope guards) and then has this
-/// dynamic state grafted on via [`CirculantStream::restore_state`].
+/// dynamic state grafted on via [`FgnStream::restore_state`] (or
+/// [`BatchStream::restore_state`] for one source of a batch).
 /// That keeps snapshots `O(block)` and makes a config/state mismatch a
 /// typed error instead of silent garbage.
 ///
@@ -536,7 +113,7 @@ impl StreamState {
 
     /// Deserialises a state from a snapshot section. Structural bounds
     /// are enforced here; semantic validation against a concrete stream
-    /// happens in [`CirculantStream::restore_state`].
+    /// happens in [`BatchStream::restore_state`].
     pub fn decode(s: &mut Section) -> Result<Self, SnapshotError> {
         let rng_vec = s.get_u64_vec()?;
         let rng: [u64; 4] = rng_vec
@@ -551,82 +128,66 @@ impl StreamState {
     }
 }
 
-impl CirculantStream {
-    /// Exports the dynamic state (RNG, current window, seam tail,
-    /// position) for checkpointing. `O(block + overlap)` copied floats.
-    pub fn export_state(&self) -> StreamState {
-        self.state.export()
-    }
+/// The methods [`FgnStream`] and [`FarimaStream`] share: both are a
+/// one-source [`BatchStream`], so each forwards to source 0.
+macro_rules! solo_stream {
+    ($name:ident) => {
+        impl $name {
+            /// Fills `out` with the next `out.len()` samples of the
+            /// stream — the chunked equivalent of calling
+            /// [`Iterator::next`] in a loop, without per-sample dispatch.
+            pub fn next_block(&mut self, out: &mut [f64]) {
+                self.0.next_block(0, out);
+            }
 
-    /// Grafts an exported state onto this (same-configuration) stream.
-    ///
-    /// Every structural invariant is validated before anything is
-    /// mutated, so a hostile state leaves the stream untouched:
-    /// buffer lengths must match this stream's geometry, the position
-    /// must lie within the window, all samples must be finite, and the
-    /// RNG state must not be the degenerate all-zero word.
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.state.restore(st, self.block, self.overlap, self.spectrum.is_none())?;
-        // The lookahead was synthesised from the pre-restore RNG stream;
-        // drop it so the next refill draws from the restored state.
-        self.prefetch.clear();
-        Ok(())
-    }
-}
+            /// Emitted samples per circulant window.
+            pub fn block(&self) -> usize {
+                self.0.block()
+            }
 
-impl FgnStream {
-    /// Exports the dynamic state for checkpointing; see
-    /// [`CirculantStream::export_state`].
-    pub fn export_state(&self) -> StreamState {
-        self.0.export_state()
-    }
+            /// Samples cross-faded at each window seam.
+            pub fn overlap(&self) -> usize {
+                self.0.overlap()
+            }
 
-    /// Restores an exported state; see
-    /// [`CirculantStream::restore_state`].
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.0.restore_state(st)
-    }
-}
+            /// Circulant transform length per window (`0` on the
+            /// white-noise path) — the memory scale of the stream.
+            pub fn circulant_len(&self) -> usize {
+                self.0.circulant_len()
+            }
 
-impl FarimaStream {
-    /// Exports the dynamic state for checkpointing; see
-    /// [`CirculantStream::export_state`].
-    pub fn export_state(&self) -> StreamState {
-        self.0.export_state()
-    }
+            /// Exports the dynamic state (RNG, current window, seam
+            /// tail, position) for checkpointing. `O(block + overlap)`
+            /// copied floats.
+            pub fn export_state(&self) -> StreamState {
+                self.0.export_state(0)
+            }
 
-    /// Restores an exported state; see
-    /// [`CirculantStream::restore_state`].
-    pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
-        self.0.restore_state(st)
-    }
-}
+            /// Grafts an exported state onto this (same-configuration)
+            /// stream. A hostile state is refused with a typed error and
+            /// leaves the stream untouched; see
+            /// [`BatchStream::restore_state`].
+            pub fn restore_state(&mut self, st: &StreamState) -> Result<(), SnapshotError> {
+                self.0.restore_state(0, st)
+            }
+        }
 
-impl BlockSource for CirculantStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        CirculantStream::next_block(self, out);
-    }
-}
+        impl Iterator for $name {
+            type Item = f64;
 
-impl BlockSource for FgnStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-}
+            fn next(&mut self) -> Option<f64> {
+                let mut v = [0.0];
+                self.0.next_block(0, &mut v);
+                Some(v[0])
+            }
+        }
 
-impl BlockSource for FarimaStream {
-    fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-}
-
-/// Prefix-exact geometry: the circulant of the batch call with `n =
-/// block`, plus whatever exact overlap it yields for free. Returns
-/// `(m, overlap)`; `block` must be `≥ 2`.
-pub(crate) fn prefix_exact_geometry(block: usize) -> (usize, usize) {
-    let m = next_pow2(2 * (block - 1)).max(2);
-    let exact_run = m / 2 + 1;
-    (m, (exact_run - block).min(block))
+        impl BlockSource for $name {
+            fn next_block(&mut self, out: &mut [f64]) {
+                self.0.next_block(0, out);
+            }
+        }
+    };
 }
 
 /// Infinite bounded-memory stream of exact-in-window fractional
@@ -640,7 +201,9 @@ pub(crate) fn prefix_exact_geometry(block: usize) -> (usize, usize) {
 /// assert_eq!(streamed, DaviesHarte::new(0.8, 1.0).generate(block, 42));
 /// ```
 #[derive(Debug, Clone)]
-pub struct FgnStream(CirculantStream);
+pub struct FgnStream(BatchStream);
+
+solo_stream!(FgnStream);
 
 impl FgnStream {
     /// Prefix-exact stream: the first `block` samples are bit-identical
@@ -651,14 +214,15 @@ impl FgnStream {
             .unwrap_or_else(|e| panic!("FgnStream construction failed: {e}"))
     }
 
-    /// Fallible [`new`](Self::new).
+    /// Fallible [`new`](Self::new); see [`SourceModel::spectrum`] for
+    /// every refusal.
     pub fn try_new(
         hurst: f64,
         variance: f64,
         block: usize,
         seed: u64,
     ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, None, seed)
+        BatchStream::try_new(SourceModel::Fgn { hurst }, variance, block, None, &[seed]).map(Self)
     }
 
     /// Stream with a caller-chosen seam overlap `overlap ≤ block` (the
@@ -684,62 +248,8 @@ impl FgnStream {
         overlap: usize,
         seed: u64,
     ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, Some(overlap), seed)
-    }
-
-    fn build(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: Option<usize>,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        if !(hurst > 0.0 && hurst < 1.0) {
-            return Err(FgnError::InvalidHurst { hurst, lo: 0.0, hi: 1.0 });
-        }
-        if !(variance > 0.0 && variance.is_finite()) {
-            return Err(FgnError::InvalidVariance { variance });
-        }
-        check_geometry(block, overlap.unwrap_or(0))?;
-        let sd = variance.sqrt();
-        let rng = Xoshiro256::seed_from_u64(seed);
-        if block == 1 {
-            return Ok(FgnStream(CirculantStream::from_spectrum(None, sd, 1, 0, rng)));
-        }
-        let (m, l) = match overlap {
-            None => prefix_exact_geometry(block),
-            Some(l) => (next_pow2(2 * (block + l - 1)).max(2), l),
-        };
-        let lambda = fgn_circulant_spectrum_cached(hurst, m)?;
-        Ok(FgnStream(CirculantStream::from_spectrum(Some(lambda), sd, block, l, rng)))
-    }
-
-    /// Fills `out` with the next `out.len()` samples (chunked draw).
-    pub fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-
-    /// Emitted samples per circulant window.
-    pub fn block(&self) -> usize {
-        self.0.block()
-    }
-
-    /// Samples cross-faded at each window seam.
-    pub fn overlap(&self) -> usize {
-        self.0.overlap()
-    }
-
-    /// Circulant transform length per window — the memory scale.
-    pub fn circulant_len(&self) -> usize {
-        self.0.circulant_len()
-    }
-}
-
-impl Iterator for FgnStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.0.next()
+        let model = SourceModel::Fgn { hurst };
+        BatchStream::try_new(model, variance, block, Some(overlap), &[seed]).map(Self)
     }
 }
 
@@ -752,7 +262,9 @@ impl Iterator for FgnStream {
 /// ([`FgnError::NonPsdEmbedding`]); in practice the embedding succeeds
 /// for `H ∈ [0.5, 1)` at all power-of-two sizes we exercise.
 #[derive(Debug, Clone)]
-pub struct FarimaStream(CirculantStream);
+pub struct FarimaStream(BatchStream);
+
+solo_stream!(FarimaStream);
 
 impl FarimaStream {
     /// Prefix-exact stream: the first `block` samples are bit-identical
@@ -764,7 +276,8 @@ impl FarimaStream {
         block: usize,
         seed: u64,
     ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, None, seed)
+        let model = SourceModel::Farima { hurst };
+        BatchStream::try_new(model, variance, block, None, &[seed]).map(Self)
     }
 
     /// Fallible stream with a caller-chosen seam overlap; see
@@ -776,63 +289,8 @@ impl FarimaStream {
         overlap: usize,
         seed: u64,
     ) -> Result<Self, FgnError> {
-        Self::build(hurst, variance, block, Some(overlap), seed)
-    }
-
-    fn build(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        overlap: Option<usize>,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
-        if !(0.5..1.0).contains(&hurst) {
-            return Err(FgnError::InvalidHurst { hurst, lo: 0.5, hi: 1.0 });
-        }
-        if !(variance > 0.0 && variance.is_finite()) {
-            return Err(FgnError::InvalidVariance { variance });
-        }
-        check_geometry(block, overlap.unwrap_or(0))?;
-        let d = crate::acvf::hurst_to_d(hurst);
-        let sd = variance.sqrt();
-        let rng = Xoshiro256::seed_from_u64(seed);
-        if block == 1 {
-            return Ok(FarimaStream(CirculantStream::from_spectrum(None, sd, 1, 0, rng)));
-        }
-        let (m, l) = match overlap {
-            None => prefix_exact_geometry(block),
-            Some(l) => (next_pow2(2 * (block + l - 1)).max(2), l),
-        };
-        let lambda = farima_circulant_spectrum_cached(d, m)?;
-        Ok(FarimaStream(CirculantStream::from_spectrum(Some(lambda), sd, block, l, rng)))
-    }
-
-    /// Fills `out` with the next `out.len()` samples (chunked draw).
-    pub fn next_block(&mut self, out: &mut [f64]) {
-        self.0.next_block(out);
-    }
-
-    /// Emitted samples per circulant window.
-    pub fn block(&self) -> usize {
-        self.0.block()
-    }
-
-    /// Samples cross-faded at each window seam.
-    pub fn overlap(&self) -> usize {
-        self.0.overlap()
-    }
-
-    /// Circulant transform length per window — the memory scale.
-    pub fn circulant_len(&self) -> usize {
-        self.0.circulant_len()
-    }
-}
-
-impl Iterator for FarimaStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.0.next()
+        let model = SourceModel::Farima { hurst };
+        BatchStream::try_new(model, variance, block, Some(overlap), &[seed]).map(Self)
     }
 }
 
@@ -848,22 +306,17 @@ pub fn farima_via_circulant(
     n: usize,
     seed: u64,
 ) -> Result<Vec<f64>, FgnError> {
-    if !(0.5..1.0).contains(&hurst) {
-        return Err(FgnError::InvalidHurst { hurst, lo: 0.5, hi: 1.0 });
-    }
-    if !(variance > 0.0 && variance.is_finite()) {
-        return Err(FgnError::InvalidVariance { variance });
-    }
+    // The prefix-exact circulant of `n` samples, through the validator
+    // the streams share (`n.max(1)`: an empty request still validates).
+    let (_, lambda) = SourceModel::Farima { hurst }.spectrum(variance, n.max(1), None)?;
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let sd = variance.sqrt();
     if n == 0 {
         return Ok(Vec::new());
     }
-    if n == 1 {
+    let Some(lambda) = lambda else {
         return Ok(vec![rng.standard_normal() * sd]);
-    }
-    let m = next_pow2(2 * (n - 1)).max(2);
-    let lambda = farima_circulant_spectrum_cached(crate::acvf::hurst_to_d(hurst), m)?;
+    };
     let mut scratch = SynthScratch::new();
     let mut out = Vec::new();
     synthesise_real_into(&lambda, &mut rng, &mut scratch, &mut out);
@@ -993,6 +446,35 @@ mod tests {
             FarimaStream::try_new(0.3, 1.0, 64, 0),
             Err(FgnError::InvalidHurst { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_block_is_a_typed_error_not_an_abort() {
+        // Each of these once reached the spectrum allocation (the first
+        // aborted the process); the circulant-length bound refuses them
+        // before anything is allocated. `top` is the largest accepted
+        // prefix-exact block: next_pow2(2(top − 1)) = MAX_CIRCULANT_LEN.
+        let top = crate::MAX_CIRCULANT_LEN / 2 + 1;
+        for (block, overlap) in [
+            (1 << 40, None),
+            (top + 1, None),
+            (top, Some(1)),
+            (usize::MAX / 2, Some(0)),
+            (usize::MAX / 2, Some(usize::MAX / 2)),
+            (usize::MAX, Some(usize::MAX)),
+        ] {
+            let fgn = match overlap {
+                None => FgnStream::try_new(0.8, 1.0, block, 0),
+                Some(l) => FgnStream::try_with_overlap(0.8, 1.0, block, l, 0),
+            };
+            assert!(matches!(fgn, Err(FgnError::Numeric(_))), "fGn {block} {overlap:?}");
+            let farima = match overlap {
+                None => FarimaStream::try_new(0.8, 1.0, block, 0),
+                Some(l) => FarimaStream::try_with_overlap(0.8, 1.0, block, l, 0),
+            };
+            assert!(matches!(farima, Err(FgnError::Numeric(_))), "fARIMA {block} {overlap:?}");
+        }
+        assert!(farima_via_circulant(0.8, 1.0, 1 << 40, 0).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use vbr_fgn::{
-    farima_acf, farima_via_circulant, fgn_acvf, BatchFarima, BatchFgn, DaviesHarte, FarimaStream,
-    FgnStream, Hosking, MarginalTransform, TableMode,
+    farima_acf, farima_via_circulant, fgn_acvf, BatchStream, DaviesHarte, FarimaStream, FgnStream,
+    Hosking, MarginalTransform, SourceModel, TableMode,
 };
 use vbr_stats::dist::{ContinuousDist, GammaPareto};
 
@@ -147,7 +147,7 @@ proptest! {
         overlap_sel in 0u32..2,
     ) {
         let use_overlap = overlap_sel == 1;
-        // The shared-spectrum batch contract: source i of a BatchFgn is
+        // The shared-spectrum batch contract: source i of a fGn BatchStream is
         // draw-for-draw bit-identical to an independent FgnStream with
         // the same seed, at arbitrary block/overlap geometry and under
         // arbitrary chunk splits with the batch's sources interleaved
@@ -155,16 +155,17 @@ proptest! {
         // which a shared scratch window must not couple).
         let overlap = (block * overlap_permille) / 1000; // 0 ..= block
         let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 + i * 7).collect();
+        let fgn = SourceModel::Fgn { hurst: h };
         let (mut batch, mut solos) = if use_overlap {
             (
-                BatchFgn::try_with_overlap(h, 1.0, block, overlap, &seeds).unwrap(),
+                BatchStream::try_new(fgn, 1.0, block, Some(overlap), &seeds).unwrap(),
                 seeds.iter()
                     .map(|&s| FgnStream::with_overlap(h, 1.0, block, overlap, s))
                     .collect::<Vec<_>>(),
             )
         } else {
             (
-                BatchFgn::try_new(h, 1.0, block, &seeds).unwrap(),
+                BatchStream::try_new(fgn, 1.0, block, None, &seeds).unwrap(),
                 seeds.iter().map(|&s| FgnStream::new(h, 1.0, block, s)).collect(),
             )
         };
@@ -193,11 +194,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // Kill/resume across engines: a checkpoint exported mid-stream
-        // from a batch source restores into a fresh BatchFgn *and* into
+        // from a batch source restores into a fresh BatchStream *and* into
         // an independent FgnStream (StreamState is one format), and both
         // resume bit-identically with the uninterrupted source.
         let seeds = [seed, seed ^ 0x5a5a];
-        let mut batch = BatchFgn::try_new(h, 1.0, block, &seeds).unwrap();
+        let fgn = SourceModel::Fgn { hurst: h };
+        let mut batch = BatchStream::try_new(fgn, 1.0, block, None, &seeds).unwrap();
         let mut buf = vec![0.0f64; pre.max(1)];
         if pre > 0 {
             batch.next_block(1, &mut buf[..pre]);
@@ -206,7 +208,7 @@ proptest! {
         }
         let saved = batch.export_state(1);
 
-        let mut fresh_batch = BatchFgn::try_new(h, 1.0, block, &seeds).unwrap();
+        let mut fresh_batch = BatchStream::try_new(fgn, 1.0, block, None, &seeds).unwrap();
         fresh_batch.restore_state(1, &saved).unwrap();
         let mut fresh_stream = FgnStream::new(h, 1.0, block, seeds[1]);
         fresh_stream.restore_state(&saved).unwrap();
@@ -224,6 +226,60 @@ proptest! {
     }
 
     #[test]
+    fn dropping_the_solo_lookahead_is_bit_invisible(
+        h in 0.05f64..0.95,
+        block in 2usize..200,
+        overlap_sel in 0u32..2,
+        before in prop::collection::vec(1usize..97, 1..8),
+        between in prop::collection::vec(1usize..97, 0..4),
+        after in prop::collection::vec(1usize..97, 1..8),
+        seed in 0u64..1000,
+    ) {
+        // A one-source batch refills through its LANES-window lookahead.
+        // Rewinding it to a state exported mid-lookahead, and growing it
+        // with push_source, each drop that lookahead; neither may move a
+        // bit. The reference is the same seed as source 1 of a two-source
+        // batch, which refills through the scalar path only.
+        let fgn = SourceModel::Fgn { hurst: h };
+        let overlap = (overlap_sel == 1).then_some(block / 3);
+        let mut solo = BatchStream::try_new(fgn, 1.0, block, overlap, &[seed]).unwrap();
+        let mut pair =
+            BatchStream::try_new(fgn, 1.0, block, overlap, &[seed ^ 0x77, seed]).unwrap();
+        let draw = |solo: &mut BatchStream,
+                    pair: &mut BatchStream,
+                    chunks: &[usize]|
+         -> Result<(), TestCaseError> {
+            for &c in chunks {
+                let mut a = vec![0.0f64; c];
+                let mut b = vec![0.0f64; c];
+                solo.next_block(0, &mut a);
+                pair.next_block(1, &mut b);
+                for k in 0..c {
+                    prop_assert_eq!(a[k].to_bits(), b[k].to_bits(), "chunk {} sample {}", c, k);
+                }
+            }
+            Ok(())
+        };
+        draw(&mut solo, &mut pair, &before)?;
+        // Land strictly inside a lookahead: if the windows consumed so
+        // far fill whole lane passes, consume one window more.
+        if before.iter().sum::<usize>().div_ceil(block) % vbr_fft::LANES == 0 {
+            draw(&mut solo, &mut pair, &[block])?;
+        }
+        let saved = solo.export_state(0);
+        // Move on by at least one refill (the trailing whole block always
+        // crosses a window boundary), then rewind both to the export.
+        let mut onward = between.clone();
+        onward.push(block);
+        draw(&mut solo, &mut pair, &onward)?;
+        solo.restore_state(0, &saved).unwrap();
+        pair.restore_state(1, &saved).unwrap();
+        draw(&mut solo, &mut pair, &onward)?;
+        solo.push_source(seed ^ 0x77, 0);
+        draw(&mut solo, &mut pair, &after)?;
+    }
+
+    #[test]
     fn batch_farima_bit_identical_to_independent_streams(
         h in 0.5f64..0.95,
         block in 1usize..400,
@@ -234,7 +290,7 @@ proptest! {
         // when every independent stream accepts, and agree to the bit
         // when it does.
         let seeds: Vec<u64> = (0..n_sources as u64).map(|i| seed0 + i * 3).collect();
-        match BatchFarima::try_new(h, 1.0, block, &seeds) {
+        match BatchStream::try_new(SourceModel::Farima { hurst: h }, 1.0, block, None, &seeds) {
             Ok(mut batch) => {
                 let mut a = vec![0.0f64; block];
                 let mut b = vec![0.0f64; block];

@@ -70,7 +70,7 @@ fn spectral_shape(model: SpectralModel, omega: f64, d: f64) -> f64 {
 }
 
 /// The profiled Whittle objective, evaluated directly from
-/// [`spectral_shape`] with no precomputation.
+/// `spectral_shape` with no precomputation.
 ///
 /// This is the reference implementation: the golden-section search uses
 /// [`WhittleObjective`], whose per-frequency log tables make each

@@ -223,8 +223,8 @@ impl CursorState {
         p.put_usize(self.emitted);
     }
 
-    /// Reads a state back from a snapshot section, in [`encode`]
-    /// (Self::encode) order.
+    /// Reads a state back from a snapshot section, in [`encode`](Self::encode)
+    /// order.
     pub fn decode(s: &mut Section) -> Result<Self, SnapshotError> {
         let words = s.get_u64_vec()?;
         let mut cursors = Vec::with_capacity(words.len());

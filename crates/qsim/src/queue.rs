@@ -294,8 +294,8 @@ impl QueueState {
         p.put_f64(self.served);
     }
 
-    /// Reads a state back from a snapshot section, in [`encode`]
-    /// (Self::encode) order. Structural decode only — semantic
+    /// Reads a state back from a snapshot section, in [`encode`](Self::encode)
+    /// order. Structural decode only — semantic
     /// validation happens in [`FluidQueue::restore_state`].
     pub fn decode(s: &mut Section) -> Result<Self, SnapshotError> {
         Ok(QueueState {

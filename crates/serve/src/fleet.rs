@@ -688,6 +688,13 @@ mod tests {
     }
 
     #[test]
+    fn oversized_block_is_a_typed_rejection() {
+        let mut fleet = Fleet::new(FleetConfig::fixed(1, 4, 16));
+        assert!(matches!(fleet.admit(spec(1, 0.8, 1 << 40)), Err(AdmitError::Invalid(_))));
+        assert_eq!(fleet.sources(), 0);
+    }
+
+    #[test]
     fn placement_balances_shards() {
         let mut fleet = Fleet::new(FleetConfig::fixed(4, 4, 1024));
         for t in 0..12 {

@@ -16,79 +16,17 @@
 
 use crate::tenant::{GroupKey, TenantSpec};
 use std::collections::HashMap;
-use vbr_fgn::{BatchFarima, BatchFgn, FgnError, StreamState};
+use vbr_fgn::{BatchStream, FgnError, StreamState};
 use vbr_stats::snapshot::{Payload, Section, SnapshotError};
 
-/// A batch group of either model family, dispatched by construction.
-#[derive(Debug, Clone)]
-pub(crate) enum BatchKind {
-    Fgn(BatchFgn),
-    Farima(BatchFarima),
-}
-
-impl BatchKind {
-    fn try_empty(key: &GroupKey) -> Result<BatchKind, FgnError> {
-        let (model, variance, block, overlap) = key
-            .params()
-            .ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
-        match model {
-            crate::tenant::SourceModel::Fgn { hurst } => {
-                Ok(BatchKind::Fgn(BatchFgn::try_empty(hurst, variance, block, overlap)?))
-            }
-            crate::tenant::SourceModel::Farima { hurst } => {
-                Ok(BatchKind::Farima(BatchFarima::try_empty(hurst, variance, block, overlap)?))
-            }
-        }
-    }
-
-    fn push_source(&mut self, seed: u64, tenant: u64) -> usize {
-        match self {
-            BatchKind::Fgn(b) => b.push_source(seed, tenant),
-            BatchKind::Farima(b) => b.push_source(seed, tenant),
-        }
-    }
-
-    fn advance_rows(&mut self, len: usize, buf: &mut [f64], rows: &[(usize, usize)]) {
-        match self {
-            BatchKind::Fgn(b) => b.advance_rows(len, buf, rows),
-            BatchKind::Farima(b) => b.advance_rows(len, buf, rows),
-        }
-    }
-
-    fn sources(&self) -> usize {
-        match self {
-            BatchKind::Fgn(b) => b.sources(),
-            BatchKind::Farima(b) => b.sources(),
-        }
-    }
-
-    fn tenant(&self, source: usize) -> u64 {
-        match self {
-            BatchKind::Fgn(b) => b.tenant(source),
-            BatchKind::Farima(b) => b.tenant(source),
-        }
-    }
-
-    fn export_state(&self, source: usize) -> StreamState {
-        match self {
-            BatchKind::Fgn(b) => b.export_state(source),
-            BatchKind::Farima(b) => b.export_state(source),
-        }
-    }
-
-    fn restore_state(&mut self, source: usize, st: &StreamState) -> Result<(), SnapshotError> {
-        match self {
-            BatchKind::Fgn(b) => b.restore_state(source, st),
-            BatchKind::Farima(b) => b.restore_state(source, st),
-        }
-    }
-}
+/// Refusal of a snapshot or migration whose group key does not build.
+const UNBUILDABLE: SnapshotError = SnapshotError::Invalid { what: "unbuildable group parameters" };
 
 /// One batch group plus its packing key.
 #[derive(Debug, Clone)]
 pub(crate) struct Group {
     pub(crate) key: GroupKey,
-    pub(crate) batch: BatchKind,
+    pub(crate) batch: BatchStream,
 }
 
 /// One shard: groups, layout, slot buffer. See the [module docs](self).
@@ -133,22 +71,26 @@ impl Shard {
         self.groups.len()
     }
 
-    /// Admits a spec: packs it into the matching batch group (creating
-    /// the group — and thereby paying the one-time spectrum/plan cost —
-    /// only for a key this shard has never seen) and returns the
-    /// shard-local source index.
+    /// Index of the batch group for `key`, creating the group — and
+    /// thereby paying the one-time spectrum/plan cost — only for a key
+    /// this shard has never seen.
+    fn group_for(&mut self, key: GroupKey) -> Result<usize, FgnError> {
+        if let Some(&g) = self.by_key.get(&key) {
+            return Ok(g);
+        }
+        let (model, variance, block, overlap) = key
+            .params()
+            .ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
+        let batch = BatchStream::try_new(model, variance, block, overlap, &[])?;
+        self.groups.push(Group { key, batch });
+        self.by_key.insert(key, self.groups.len() - 1);
+        Ok(self.groups.len() - 1)
+    }
+
+    /// Admits a spec: packs it into the matching batch group and
+    /// returns the shard-local source index.
     pub(crate) fn admit(&mut self, spec: &TenantSpec) -> Result<u32, FgnError> {
-        let key = GroupKey::of(spec);
-        let g = match self.by_key.get(&key) {
-            Some(&g) => g,
-            None => {
-                let batch = BatchKind::try_empty(&key)?;
-                self.groups.push(Group { key, batch });
-                let g = self.groups.len() - 1;
-                self.by_key.insert(key, g);
-                g
-            }
-        };
+        let g = self.group_for(GroupKey::of(spec))?;
         let s = self.groups[g].batch.push_source(spec.seed, spec.tenant);
         self.layout.push((g as u32, s as u32));
         self.slot_buf.resize(self.layout.len() * self.slot_len, 0.0);
@@ -160,7 +102,7 @@ impl Shard {
     /// cross-shard reads, no aggregation.
     ///
     /// Rows are bucketed by batch group and each group advanced in one
-    /// lockstep [`advance_rows`](vbr_fgn::BatchFgn::advance_rows) call,
+    /// lockstep [`advance_rows`](vbr_fgn::BatchStream::advance_rows) call,
     /// so the steady state runs lane-batched refills straight into the
     /// slot buffer instead of a full per-source pipeline walk. Output
     /// bits per source are identical to per-source `next_block` calls
@@ -227,15 +169,13 @@ impl Shard {
             if shard.by_key.contains_key(&gs.key) {
                 return Err(SnapshotError::Invalid { what: "duplicate group key in shard" });
             }
-            let mut batch = BatchKind::try_empty(&gs.key)
-                .map_err(|_| SnapshotError::Invalid { what: "unbuildable group parameters" })?;
+            let g = shard.group_for(gs.key).map_err(|_| UNBUILDABLE)?;
+            let batch = &mut shard.groups[g].batch;
             for st in &gs.sources {
                 // Placeholder seed: the restored state overwrites the RNG.
                 let s = batch.push_source(0, st.tenant);
                 batch.restore_state(s, st)?;
             }
-            shard.by_key.insert(gs.key, shard.groups.len());
-            shard.groups.push(Group { key: gs.key, batch });
         }
         let total: usize = state.groups.iter().map(|g| g.sources.len()).sum();
         if state.layout.len() != total {
@@ -282,18 +222,7 @@ impl Shard {
         for &(g, s) in &self.layout {
             let grp = &self.groups[g as usize];
             let st = grp.batch.export_state(s as usize);
-            let tg = match target.by_key.get(&grp.key) {
-                Some(&tg) => tg,
-                None => {
-                    let batch = BatchKind::try_empty(&grp.key).map_err(|_| {
-                        SnapshotError::Invalid { what: "unbuildable group parameters" }
-                    })?;
-                    target.groups.push(Group { key: grp.key, batch });
-                    let tg = target.groups.len() - 1;
-                    target.by_key.insert(grp.key, tg);
-                    tg
-                }
-            };
+            let tg = target.group_for(grp.key).map_err(|_| UNBUILDABLE)?;
             let ts = target.groups[tg].batch.push_source(0, st.tenant);
             target.groups[tg].batch.restore_state(ts, &st)?;
             target.layout.push((tg as u32, ts as u32));
@@ -444,5 +373,16 @@ mod tests {
         let mut state = shard.export_state();
         state.layout[1] = (7, 7); // out of range
         assert!(Shard::restore_from(&state, 4).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_hostile_block_without_aborting() {
+        // A group key claiming a 2^40-sample block once reached the
+        // spectrum allocation and aborted the process.
+        let mut shard = Shard::new(4);
+        shard.admit(&spec(1, 0.8, 16)).unwrap();
+        let mut state = shard.export_state();
+        state.groups[0].key.block = 1 << 40;
+        assert!(matches!(Shard::restore_from(&state, 4), Err(SnapshotError::Invalid { .. })));
     }
 }

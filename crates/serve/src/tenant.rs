@@ -1,7 +1,8 @@
 //! Tenants and their packing keys.
 //!
 //! A *tenant* is one emulated traffic source owned by some client of the
-//! serving process: a model choice (fGn or fARIMA), second-order
+//! serving process: a model choice ([`SourceModel`], fGn or fARIMA —
+//! the generator crate's own model value, re-exported here), second-order
 //! parameters, a streaming geometry, and a seed. Tenants that agree on
 //! everything but the seed are statistically identical sources and can
 //! share one circulant spectrum, FFT plan, and synthesis scratch — the
@@ -11,53 +12,12 @@
 //! pattern (the same rule the spectrum caches use, so "same key" ⇒
 //! "same cached spectrum").
 
+pub use vbr_fgn::SourceModel;
+
 /// Identity of a tenant, unique across the fleet. `u64` so identities
 /// survive snapshot/restore through [`vbr_fgn::StreamState`]'s tenant
 /// field.
 pub type TenantId = u64;
-
-/// Which generator family drives a tenant's source.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SourceModel {
-    /// Fractional Gaussian noise via circulant embedding (always PSD;
-    /// `H ∈ (0, 1)`).
-    Fgn {
-        /// Hurst parameter.
-        hurst: f64,
-    },
-    /// Fractional ARIMA(0, d, 0) via circulant embedding (`H ∈ [0.5,
-    /// 1)`; the embedding can be non-PSD, which rejects the spec).
-    Farima {
-        /// Hurst parameter (`d = H − 1/2`).
-        hurst: f64,
-    },
-}
-
-impl SourceModel {
-    /// The Hurst parameter, whichever family.
-    pub fn hurst(&self) -> f64 {
-        match *self {
-            SourceModel::Fgn { hurst } | SourceModel::Farima { hurst } => hurst,
-        }
-    }
-
-    /// Stable wire tag (0 = fGn, 1 = fARIMA) used in keys and snapshots.
-    pub(crate) fn tag(&self) -> u64 {
-        match self {
-            SourceModel::Fgn { .. } => 0,
-            SourceModel::Farima { .. } => 1,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag) for snapshot decoding.
-    pub(crate) fn from_tag(tag: u64, hurst: f64) -> Option<SourceModel> {
-        match tag {
-            0 => Some(SourceModel::Fgn { hurst }),
-            1 => Some(SourceModel::Farima { hurst }),
-            _ => None,
-        }
-    }
-}
 
 /// Everything a client states when asking the fleet for a source.
 #[derive(Debug, Clone, Copy, PartialEq)]
