@@ -7,11 +7,7 @@ use vbr_fgn::DaviesHarte;
 use vbr_lrd::{rs_analysis, variance_time, whittle_aggregated, RsOptions, VtOptions};
 
 fn lrd_series(n: usize) -> Vec<f64> {
-    DaviesHarte::new(0.8, 1.0)
-        .generate(n, 7)
-        .into_iter()
-        .map(|v| v + 10.0)
-        .collect()
+    DaviesHarte::new(0.8, 1.0).generate(n, 7).into_iter().map(|v| v + 10.0).collect()
 }
 
 fn bench_variance_time(c: &mut Criterion) {
@@ -27,9 +23,7 @@ fn bench_variance_time(c: &mut Criterion) {
     g.bench_function("whittle_aggregated_100_700", |b| {
         b.iter(|| whittle_aggregated(black_box(&x), &[100, 700]))
     });
-    g.bench_function("local_whittle", |b| {
-        b.iter(|| vbr_lrd::local_whittle(black_box(&x), None))
-    });
+    g.bench_function("local_whittle", |b| b.iter(|| vbr_lrd::local_whittle(black_box(&x), None)));
     g.bench_function("wavelet_hurst", |b| {
         b.iter(|| vbr_lrd::wavelet_hurst(black_box(&x), Some(2), None))
     });
@@ -70,20 +64,15 @@ fn bench_robust_ensemble(c: &mut Criterion) {
     let mut g = c.benchmark_group("robust_hurst");
     g.sample_size(10);
     g.bench_function("serial", |b| {
-        b.iter(|| {
-            vbr_stats::par::with_threads(1, || vbr_lrd::robust_hurst(black_box(&x)).unwrap())
-        })
+        b.iter(|| vbr_stats::par::with_threads(1, || vbr_lrd::robust_hurst(black_box(&x)).unwrap()))
     });
-    g.bench_function("parallel", |b| {
-        b.iter(|| vbr_lrd::robust_hurst(black_box(&x)).unwrap())
-    });
+    g.bench_function("parallel", |b| b.iter(|| vbr_lrd::robust_hurst(black_box(&x)).unwrap()));
     g.finish();
 }
 
 fn bench_estimate_params(c: &mut Criterion) {
     // The full 4-parameter estimation pipeline of §4.2.
-    let trace =
-        vbr_video::generate_screenplay(&vbr_video::ScreenplayConfig::short(40_000, 9));
+    let trace = vbr_video::generate_screenplay(&vbr_video::ScreenplayConfig::short(40_000, 9));
     let mut g = c.benchmark_group("model_estimation");
     g.sample_size(10);
     g.bench_function("estimate_trace_40000", |b| {

@@ -13,19 +13,15 @@ fn series(n: usize) -> Vec<f64> {
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
     for &n in &[1024usize, 16_384, 262_144] {
-        let x: Vec<vbr_fft::Complex> = series(n)
-            .into_iter()
-            .map(vbr_fft::Complex::from_re)
-            .collect();
+        let x: Vec<vbr_fft::Complex> =
+            series(n).into_iter().map(vbr_fft::Complex::from_re).collect();
         g.bench_with_input(BenchmarkId::new("pow2", n), &x, |b, x| {
             b.iter(|| vbr_fft::fft(black_box(x)))
         });
     }
     // Bluestein path: prime length.
-    let x: Vec<vbr_fft::Complex> = series(10_007)
-        .into_iter()
-        .map(vbr_fft::Complex::from_re)
-        .collect();
+    let x: Vec<vbr_fft::Complex> =
+        series(10_007).into_iter().map(vbr_fft::Complex::from_re).collect();
     g.bench_function("bluestein_10007", |b| b.iter(|| vbr_fft::fft(black_box(&x))));
     g.finish();
 }
@@ -50,9 +46,7 @@ fn bench_periodogram(c: &mut Criterion) {
     let x = series(171_000);
     let mut g = c.benchmark_group("periodogram_fig8");
     g.sample_size(10);
-    g.bench_function("full_trace", |b| {
-        b.iter(|| vbr_stats::Periodogram::compute(black_box(&x)))
-    });
+    g.bench_function("full_trace", |b| b.iter(|| vbr_stats::Periodogram::compute(black_box(&x))));
     g.finish();
 }
 
@@ -60,10 +54,8 @@ fn bench_fft_plan(c: &mut Criterion) {
     // The plan cache: rebuilding tables per call vs the cached hit.
     let mut g = c.benchmark_group("fft_plan");
     for &n in &[16_384usize, 262_144] {
-        let input: Vec<vbr_fft::Complex> = series(n)
-            .into_iter()
-            .map(vbr_fft::Complex::from_re)
-            .collect();
+        let input: Vec<vbr_fft::Complex> =
+            series(n).into_iter().map(vbr_fft::Complex::from_re).collect();
         let mut buf = input.clone();
         g.bench_with_input(BenchmarkId::new("cold_build", n), &n, |b, &n| {
             b.iter(|| {
@@ -146,10 +138,8 @@ fn bench_kernels_simd(c: &mut Criterion) {
 
     // Radix-4 SoA butterflies vs the scalar radix-2 twin.
     let fft_n = 1usize << 14;
-    let input: Vec<vbr_fft::Complex> = series(fft_n)
-        .into_iter()
-        .map(vbr_fft::Complex::from_re)
-        .collect();
+    let input: Vec<vbr_fft::Complex> =
+        series(fft_n).into_iter().map(vbr_fft::Complex::from_re).collect();
     let mut cbuf = input.clone();
     let plan = vbr_fft::plan_for(fft_n);
     g.bench_function("fft_radix2_scalar_16k", |b| {

@@ -21,9 +21,8 @@ fn bench_queue_pass(c: &mut Criterion) {
 }
 
 fn bench_raw_queue(c: &mut Criterion) {
-    let arrivals: Vec<f64> = (0..1_000_000)
-        .map(|i| 900.0 + 300.0 * ((i as f64) * 0.001).sin())
-        .collect();
+    let arrivals: Vec<f64> =
+        (0..1_000_000).map(|i| 900.0 + 300.0 * ((i as f64) * 0.001).sin()).collect();
     let mut g = c.benchmark_group("fluid_queue");
     g.sample_size(10);
     g.bench_function("step_1M_slots", |b| {
@@ -46,12 +45,7 @@ fn bench_capacity_search(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("required_capacity_n2", |b| {
         b.iter(|| {
-            sim.required_capacity(
-                black_box(0.002),
-                LossTarget::Rate(1e-3),
-                LossMetric::Overall,
-                18,
-            )
+            sim.required_capacity(black_box(0.002), LossTarget::Rate(1e-3), LossMetric::Overall, 18)
         })
     });
     g.finish();

@@ -120,8 +120,7 @@ fn run_fleet(
 ) -> f64 {
     let block = fleet.config().slot_len;
     let mut agg = vec![0.0f64; block];
-    let mut next_ckpt =
-        if ckpt_every > 0 { fleet.slots_done() + ckpt_every } else { u64::MAX };
+    let mut next_ckpt = if ckpt_every > 0 { fleet.slots_done() + ckpt_every } else { u64::MAX };
     let t0 = Instant::now();
     while fleet.slots_done() < slots {
         fleet.advance_slot(&mut agg);
@@ -135,10 +134,7 @@ fn run_fleet(
             next_ckpt = fleet.slots_done() + ckpt_every;
         }
         if kill.advance(1) {
-            eprintln!(
-                "fleet_bench: kill point reached at slot {}; aborting",
-                fleet.slots_done()
-            );
+            eprintln!("fleet_bench: kill point reached at slot {}; aborting", fleet.slots_done());
             std::process::abort();
         }
     }
@@ -155,8 +151,8 @@ fn run_solo(sources: usize, block: usize, slots: u64) -> RunStats {
     let t0 = Instant::now();
     for t in 0..sources as u64 {
         let s = spec_for(t, block);
-        let mut stream = FgnStream::try_new(s.model.hurst(), s.variance, s.block, s.seed)
-            .expect("valid spec");
+        let mut stream =
+            FgnStream::try_new(s.model.hurst(), s.variance, s.block, s.seed).expect("valid spec");
         for c in buf.chunks_mut(block) {
             stream.next_block(c);
         }
@@ -200,8 +196,7 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--sources" => {
-                sources =
-                    args.next().and_then(|v| v.parse().ok()).expect("--sources needs a count")
+                sources = args.next().and_then(|v| v.parse().ok()).expect("--sources needs a count")
             }
             "--shards" => {
                 shards = args.next().and_then(|v| v.parse().ok()).expect("--shards needs a count")
@@ -321,7 +316,9 @@ fn main() -> ExitCode {
                 }
                 Recovery::ColdStart { damaged } => {
                     if damaged > 0 {
-                        eprintln!("fleet_bench: all {damaged} checkpoint file(s) damaged; cold start");
+                        eprintln!(
+                            "fleet_bench: all {damaged} checkpoint file(s) damaged; cold start"
+                        );
                     } else {
                         println!("fleet_bench: no checkpoint found; cold start");
                     }
@@ -345,8 +342,7 @@ fn main() -> ExitCode {
         }
         let mut kill = KillPoint::new(kill_after);
         kill.advance(fleet.slots_done().min(kill_after.unwrap_or(u64::MAX).saturating_sub(1)));
-        let secs =
-            run_fleet(&mut fleet, slots, &mut digest, store.as_ref(), ckpt_every, &mut kill);
+        let secs = run_fleet(&mut fleet, slots, &mut digest, store.as_ref(), ckpt_every, &mut kill);
         report("fleet", sources, block, slots, secs);
         println!(
             "fleet_bench: slots {} slices {} admitted {} plan_cache_contention {}",

@@ -183,8 +183,7 @@ fn main() {
         }
     }
     let saved = batch.export_state(1);
-    let mut resumed =
-        BatchStream::try_new(fgn, 1.0, 512, None, &[5, 6, 7]).expect("valid params");
+    let mut resumed = BatchStream::try_new(fgn, 1.0, 512, None, &[5, 6, 7]).expect("valid params");
     resumed.restore_state(1, &saved).expect("own export restores");
     resumed.next_block(1, &mut block);
     d.push_f64s(&block);

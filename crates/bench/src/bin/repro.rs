@@ -42,14 +42,9 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--frames" => {
-                frames = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                frames = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
+            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
             "--quick" => quick = true,
             "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),

@@ -36,7 +36,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vbr_bench::checkpoint::{CheckpointStore, PipelineConfig, PipelineState, Recovery, TraceDigest};
+use vbr_bench::checkpoint::{
+    CheckpointStore, PipelineConfig, PipelineState, Recovery, TraceDigest,
+};
 use vbr_bench::faults::KillPoint;
 use vbr_fgn::{FgnStream, MarginalTransform, TableMode};
 use vbr_qsim::FluidQueue;
@@ -175,9 +177,7 @@ fn main() -> ExitCode {
             }
             Recovery::ColdStart { damaged } => {
                 if damaged > 0 {
-                    eprintln!(
-                        "stream_smoke: all {damaged} checkpoint file(s) damaged; cold start"
-                    );
+                    eprintln!("stream_smoke: all {damaged} checkpoint file(s) damaged; cold start");
                 } else {
                     println!("stream_smoke: no checkpoint found; cold start");
                 }
@@ -228,9 +228,9 @@ fn main() -> ExitCode {
                 stream: src.export_state(),
                 queue: q.export_state(),
             };
-            if let Err(e) = store.as_ref().expect("cadence implies store").write(
-                &state, param_hash, seq,
-            ) {
+            if let Err(e) =
+                store.as_ref().expect("cadence implies store").write(&state, param_hash, seq)
+            {
                 eprintln!("stream_smoke: checkpoint write failed ({e}); continuing");
             } else {
                 seq += 1;
@@ -266,7 +266,10 @@ fn main() -> ExitCode {
     match vm_hwm_kib() {
         Some(kib) => {
             let cap_kib = cap_mib * 1024;
-            println!("stream_smoke: peak resident {:.1} MiB (cap {cap_mib} MiB)", kib as f64 / 1024.0);
+            println!(
+                "stream_smoke: peak resident {:.1} MiB (cap {cap_mib} MiB)",
+                kib as f64 / 1024.0
+            );
             if kib > cap_kib {
                 eprintln!("FAIL: VmHWM {kib} KiB exceeds cap {cap_kib} KiB");
                 return ExitCode::FAILURE;

@@ -205,7 +205,10 @@ impl PipelineState {
         if !total_bytes.is_finite() || total_bytes < 0.0 {
             return Err(SnapshotError::Invalid { what: "total_bytes" });
         }
-        Ok((seq, PipelineState { slices_done, total_bytes, digest, checkpoint_writes, stream, queue }))
+        Ok((
+            seq,
+            PipelineState { slices_done, total_bytes, digest, checkpoint_writes, stream, queue },
+        ))
     }
 }
 
@@ -500,11 +503,8 @@ mod tests {
         store.write(&toy_state(200), hash, 1).unwrap();
         let inj = crate::faults::FaultInjector::new(3);
         for seq in [0, 1] {
-            inj.corrupt_file(
-                &store.generation_path(seq),
-                crate::faults::FileCorruption::Truncated,
-            )
-            .unwrap();
+            inj.corrupt_file(&store.generation_path(seq), crate::faults::FileCorruption::Truncated)
+                .unwrap();
         }
         assert_eq!(store.recover(hash), Recovery::ColdStart { damaged: 2 });
         // An empty store is a quiet cold start (no alarm).
@@ -526,7 +526,7 @@ mod tests {
         store.write(&toy_state(100), hash, 8).unwrap(); // even slot
         let old = std::fs::read(store.generation_path(8)).unwrap();
         store.write(&toy_state(200), hash, 9).unwrap(); // odd slot
-        // Swap the stale even-generation bytes over the odd slot.
+                                                        // Swap the stale even-generation bytes over the odd slot.
         std::fs::write(store.generation_path(9), &old).unwrap();
         match store.recover(hash) {
             Recovery::Latest { seq, state } => {

@@ -4,9 +4,7 @@
 
 use crate::{banner, compare, Ctx};
 use vbr_lrd::{local_whittle, rs_analysis, wavelet_hurst, RsOptions};
-use vbr_qsim::{
-    admit_by_norros, admit_by_simulation, fbm_variance_coef, LossMetric, LossTarget,
-};
+use vbr_qsim::{admit_by_norros, admit_by_simulation, fbm_variance_coef, LossMetric, LossTarget};
 use vbr_video::{generate_screenplay, Genre, ScreenplayConfig};
 
 /// Runs the extension showcase (not a paper artefact; id `ext`).
@@ -46,16 +44,8 @@ pub fn ext(ctx: &Ctx) {
             h,
         ]);
     }
-    ctx.write_csv(
-        "ext_genres.csv",
-        "genre_index,mean_mbps,cov,peak_to_mean,rs_hurst",
-        &rows,
-    );
-    compare(
-        "videoconference H",
-        "0.60-0.75 (paper §3.2.3)",
-        "lowest of the four genres",
-    );
+    ctx.write_csv("ext_genres.csv", "genre_index,mean_mbps,cov,peak_to_mean,rs_hurst", &rows);
+    compare("videoconference H", "0.60-0.75 (paper §3.2.3)", "lowest of the four genres");
 
     banner("Extensions — estimator battery on the default trace");
     let series = ctx.trace.frame_series();

@@ -9,10 +9,7 @@ fn fitted_models(ctx: &Ctx) -> (Normal, Gamma, Lognormal, GammaPareto) {
     let s = ctx.trace.summary_frame();
     let est = estimate_trace(
         &ctx.trace,
-        &EstimateOptions {
-            hurst_method: HurstMethod::VarianceTime,
-            ..Default::default()
-        },
+        &EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() },
     );
     (
         Normal::from_moments(s.mean, s.std_dev),
@@ -37,8 +34,7 @@ pub fn fig3(ctx: &Ctx) {
     for (i, &s0) in starts.iter().enumerate() {
         let seg = &series[s0..s0 + seg_frames];
         let mean = seg.iter().sum::<f64>() / seg.len() as f64;
-        let sd = (seg.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / seg.len() as f64)
-            .sqrt();
+        let sd = (seg.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / seg.len() as f64).sqrt();
         println!("{:>10} {:>12.0} {:>10.0} {:>10.3}", i + 1, mean, sd, sd / mean);
         let h = Histogram::from_data(seg, 40);
         for (x, d) in h.density() {
@@ -46,8 +42,7 @@ pub fn fig3(ctx: &Ctx) {
         }
     }
     let mean = series.iter().sum::<f64>() / series.len() as f64;
-    let sd =
-        (series.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / series.len() as f64).sqrt();
+    let sd = (series.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / series.len() as f64).sqrt();
     println!("{:>10} {:>12.0} {:>10.0} {:>10.3}", "whole", mean, sd, sd / mean);
     let h = Histogram::from_data(&series, 60);
     for (x, d) in h.density() {
@@ -76,24 +71,14 @@ pub fn fig4(ctx: &Ctx) {
     );
     for q in [0.5, 0.8, 0.9, 0.95, 0.99, 0.997, 0.999, 0.9997, 0.9999] {
         let x = ecdf.quantile(q);
-        let row = [
-            ecdf.ccdf(x),
-            normal.ccdf(x),
-            gamma.ccdf(x),
-            lognormal.ccdf(x),
-            pareto.ccdf(x),
-        ];
+        let row = [ecdf.ccdf(x), normal.ccdf(x), gamma.ccdf(x), lognormal.ccdf(x), pareto.ccdf(x)];
         println!(
             "{:>10.0} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e}",
             x, row[0], row[1], row[2], row[3], row[4]
         );
         rows.push(vec![x, row[0], row[1], row[2], row[3], row[4]]);
     }
-    ctx.write_csv(
-        "fig4_ccdf.csv",
-        "bytes,empirical,normal,gamma,lognormal,pareto",
-        &rows,
-    );
+    ctx.write_csv("fig4_ccdf.csv", "bytes,empirical,normal,gamma,lognormal,pareto", &rows);
     // Shape check: at the 99.9th percentile the Normal must be orders of
     // magnitude too light, the Pareto within one order of magnitude.
     let x = ecdf.quantile(0.999);
@@ -133,16 +118,8 @@ pub fn fig4(ctx: &Ctx) {
     for (name, ks, te) in &rows {
         println!("{name:<14} {ks:>10.4} {te:>22.2}");
     }
-    let best_tail = rows
-        .iter()
-        .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap())
-        .unwrap()
-        .0;
-    compare(
-        "best tail fit",
-        "Gamma/Pareto hybrid (bells match only the body)",
-        best_tail,
-    );
+    let best_tail = rows.iter().min_by(|a, b| a.2.partial_cmp(&b.2).unwrap()).unwrap().0;
+    compare("best tail fit", "Gamma/Pareto hybrid (bells match only the body)", best_tail);
 }
 
 /// Fig 5: log-log CDF of the left tail — the Gamma fits the lower end.
@@ -159,8 +136,7 @@ pub fn fig5(ctx: &Ctx) {
     );
     for q in [0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3] {
         let x = ecdf.quantile(q);
-        let row =
-            [ecdf.cdf(x), normal.cdf(x), gamma.cdf(x), lognormal.cdf(x), hybrid.cdf(x)];
+        let row = [ecdf.cdf(x), normal.cdf(x), gamma.cdf(x), lognormal.cdf(x), hybrid.cdf(x)];
         println!(
             "{:>10.0} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e} {:>12.3e}",
             x, row[0], row[1], row[2], row[3], row[4]

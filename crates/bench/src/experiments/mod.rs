@@ -12,9 +12,8 @@ use crate::Ctx;
 
 /// All experiment ids in paper order.
 pub const ALL: &[&str] = &[
-    "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-    "ext",
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ext",
 ];
 
 /// Dispatches one experiment by id. Returns false for unknown ids.

@@ -31,11 +31,8 @@ pub fn fig16(ctx: &Ctx) {
         ("iid Gamma/Pareto", gen(&SourceModel::iid_gamma_pareto(est.params), 1601)),
     ];
 
-    let grid: Vec<f64> = if ctx.quick {
-        vec![0.001, 0.002, 0.01]
-    } else {
-        vec![0.0005, 0.001, 0.002, 0.005, 0.02]
-    };
+    let grid: Vec<f64> =
+        if ctx.quick { vec![0.001, 0.002, 0.01] } else { vec![0.0005, 0.001, 0.002, 0.005, 0.02] };
     let ns: &[usize] = if ctx.quick { &[1, 5] } else { &[1, 2, 5, 20] };
     let iters = ctx.search_iters();
 
@@ -73,11 +70,7 @@ pub fn fig16(ctx: &Ctx) {
 
     // Shape checks against the paper's reading of Fig 16.
     let mean_err = |vi: usize| -> f64 {
-        at2ms[vi]
-            .iter()
-            .zip(&at2ms[0])
-            .map(|(&m, &t)| (m - t).abs() / t)
-            .sum::<f64>()
+        at2ms[vi].iter().zip(&at2ms[0]).map(|(&m, &t)| (m - t).abs() / t).sum::<f64>()
             / at2ms[0].len() as f64
     };
     let full = mean_err(1);
@@ -86,14 +79,19 @@ pub fn fig16(ctx: &Ctx) {
     compare(
         "full model vs ablations (mean |rel err| vs trace @2 ms)",
         "full model consistently closest",
-        &format!("full {:.1}%, Gaussian {:.1}%, iid {:.1}%", full * 100.0, gauss * 100.0, iid * 100.0),
+        &format!(
+            "full {:.1}%, Gaussian {:.1}%, iid {:.1}%",
+            full * 100.0,
+            gauss * 100.0,
+            iid * 100.0
+        ),
     );
     // Agreement improves with N: relative error at the largest N below
     // that at N = 1 for the full model.
     if at2ms[1].len() >= 2 {
         let first = (at2ms[1][0] - at2ms[0][0]).abs() / at2ms[0][0];
-        let last = (at2ms[1].last().unwrap() - at2ms[0].last().unwrap()).abs()
-            / at2ms[0].last().unwrap();
+        let last =
+            (at2ms[1].last().unwrap() - at2ms[0].last().unwrap()).abs() / at2ms[0].last().unwrap();
         compare(
             "agreement vs N (full model)",
             "improves as N grows",

@@ -62,8 +62,10 @@ pub fn fig14(ctx: &Ctx) {
     let mut rows = Vec::new();
     for &n in ns {
         let sim = MuxSim::new(&ctx.trace, n, 14 + n as u64);
-        println!("\nN = {n}  (mean rate/source = {:.2} Mb/s)",
-            sim.mean_rate() * 8.0 / 1e6 / n as f64);
+        println!(
+            "\nN = {n}  (mean rate/source = {:.2} Mb/s)",
+            sim.mean_rate() * 8.0 / 1e6 / n as f64
+        );
         print!("{:>14}", "T_max [ms]");
         for (name, _, _) in &tgt {
             print!(" {name:>14}");
@@ -72,8 +74,7 @@ pub fn fig14(ctx: &Ctx) {
         for &tm in &grid {
             print!("{:>14.2}", tm * 1e3);
             for (ti, (_, target, metric)) in tgt.iter().enumerate() {
-                let c = sim.required_capacity(tm, *target, *metric, iters)
-                    / n as f64;
+                let c = sim.required_capacity(tm, *target, *metric, iters) / n as f64;
                 print!(" {:>13.2}M", c * 8.0 / 1e6);
                 rows.push(vec![n as f64, ti as f64, tm * 1e3, c * 8.0 / 1e6]);
             }
@@ -139,11 +140,7 @@ pub fn fig15(ctx: &Ctx) {
         }
         println!(" {:>15.0}%", gain0 * 100.0);
     }
-    ctx.write_csv(
-        "fig15_smg.csv",
-        "n_sources,target_index,capacity_per_source_mbps",
-        &rows,
-    );
+    ctx.write_csv("fig15_smg.csv", "n_sources,target_index,capacity_per_source_mbps", &rows);
     if !gain_at_5.is_empty() {
         let avg = gain_at_5.iter().sum::<f64>() / gain_at_5.len() as f64;
         compare(
@@ -152,11 +149,7 @@ pub fn fig15(ctx: &Ctx) {
             &format!("{:.0}%", avg * 100.0),
         );
     }
-    compare(
-        "N = 1 vs N = 20",
-        "near peak rate vs near mean rate",
-        "see first and last rows",
-    );
+    compare("N = 1 vs N = 20", "near peak rate vs near mean rate", "see first and last rows");
 
     // The paper's §4.2 convolution device: the N-fold Gamma/Pareto
     // convolution predicts the bufferless allocation directly.
@@ -175,11 +168,7 @@ pub fn fig15(ctx: &Ctx) {
         let sim = MuxSim::new(&ctx.trace, n, 151 + n as u64);
         let c = sim.required_capacity(1e-4, LossTarget::Rate(1e-4), LossMetric::Overall, iters)
             / n as f64;
-        println!(
-            "{n:>6} {:>24.2}M {:>20.2}M",
-            conv * 8.0 / 1e6,
-            c * 8.0 / 1e6
-        );
+        println!("{n:>6} {:>24.2}M {:>20.2}M", conv * 8.0 / 1e6, c * 8.0 / 1e6);
     }
     println!("(agreement within ~10%: in the bufferless regime the marginal alone");
     println!(" governs the allocation — correlation, and hence H, is irrelevant there,");
@@ -217,11 +206,7 @@ pub fn fig17(ctx: &Ctx) {
             peak
         );
     }
-    ctx.write_csv(
-        "fig17_error_process.csv",
-        "n_sources,frame,windowed_loss_rate",
-        &rows,
-    );
+    ctx.write_csv("fig17_error_process.csv", "n_sources,frame,windowed_loss_rate", &rows);
     compare(
         "error structure",
         "N=1: few long severe events; N=20: more frequent, milder",

@@ -16,11 +16,7 @@ pub fn table1(ctx: &Ctx) {
     compare("Pel resolution", "8 bits/pel mono", "8 bits/pel mono");
     compare("Frame rate", "24 per second", &format!("{} per second", t.fps()));
     compare("\"Slice\" rate", "30 per frame", &format!("{} per frame", t.slices_per_frame()));
-    compare(
-        "Avg. bandwidth",
-        "5.34 Mb/s",
-        &format!("{:.2} Mb/s", t.mean_bandwidth_bps() / 1e6),
-    );
+    compare("Avg. bandwidth", "5.34 Mb/s", &format!("{:.2} Mb/s", t.mean_bandwidth_bps() / 1e6));
     compare(
         "Avg. compression ratio",
         "8.70",
@@ -74,16 +70,9 @@ pub fn table3(ctx: &Ctx) {
     );
     println!("\nWhittle aggregation sweep (paper reads the estimate at m ~ 700):");
     for (m, e) in &rep.whittle_sweep {
-        println!(
-            "  m = {m:>4}: H = {:.3} +/- {:.3}",
-            e.hurst,
-            1.96 * e.std_err
-        );
+        println!("  m = {m:>4}: H = {:.3} +/- {:.3}", e.hurst, 1.96 * e.std_err);
     }
-    println!(
-        "extension (log-periodogram regression): H = {:.2}",
-        rep.periodogram.hurst
-    );
+    println!("extension (log-periodogram regression): H = {:.2}", rep.periodogram.hurst);
     println!(
         "extension (local Whittle, semiparametric): H = {:.2} +/- {:.3}",
         rep.local_whittle.hurst,

@@ -13,8 +13,7 @@ pub fn fig1(ctx: &Ctx) {
     banner("Fig 1 — full time series");
     let series = ctx.trace.frame_series();
     let ds = downsample(&series, 2000);
-    let rows: Vec<Vec<f64>> =
-        ds.iter().enumerate().map(|(i, &v)| vec![i as f64, v]).collect();
+    let rows: Vec<Vec<f64>> = ds.iter().enumerate().map(|(i, &v)| vec![i as f64, v]).collect();
     ctx.write_csv("fig1_timeseries.csv", "block,bytes_per_frame", &rows);
 
     // Landmarks: opening plateau, three central peaks, late plateau.
@@ -32,10 +31,7 @@ pub fn fig1(ctx: &Ctx) {
     compare(
         "three special-effects peaks near centre",
         "highest peaks of the movie",
-        &format!(
-            "central-fifth peak = {:.0} bytes (global max {:.0})",
-            mid_peak, global_peak
-        ),
+        &format!("central-fifth peak = {:.0} bytes (global max {:.0})", mid_peak, global_peak),
     );
 }
 
@@ -45,16 +41,19 @@ pub fn fig2(ctx: &Ctx) {
     let series = ctx.trace.frame_series();
     let ma = moving_average(&series, 20_000.min(series.len() / 2));
     let ds = downsample(&ma, 1000);
-    let rows: Vec<Vec<f64>> =
-        ds.iter().enumerate().map(|(i, &v)| vec![i as f64, v]).collect();
+    let rows: Vec<Vec<f64>> = ds.iter().enumerate().map(|(i, &v)| vec![i as f64, v]).collect();
     ctx.write_csv("fig2_moving_average.csv", "block,ma_bytes_per_frame", &rows);
     let lo = ma.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = ma.iter().cloned().fold(0.0f64, f64::max);
     compare(
         "14-minute-scale modulation",
         "strong (story follows arc)",
-        &format!("MA range {:.0}..{:.0} = {:.0}% of the mean", lo, hi,
-            100.0 * (hi - lo) * series.len() as f64 / series.iter().sum::<f64>()),
+        &format!(
+            "MA range {:.0}..{:.0} = {:.0}% of the mean",
+            lo,
+            hi,
+            100.0 * (hi - lo) * series.len() as f64 / series.iter().sum::<f64>()
+        ),
     );
     println!("strong low-frequency content is the visible signature of LRD (paper §2).");
 }
@@ -66,10 +65,7 @@ pub fn fig7(ctx: &Ctx) {
     let series = ctx.trace.frame_series();
     let max_lag = 10_000.min(series.len() / 4);
     let acf = autocorrelation(&series, max_lag);
-    let rows: Vec<Vec<f64>> = (0..=max_lag)
-        .step_by(10)
-        .map(|k| vec![k as f64, acf[k]])
-        .collect();
+    let rows: Vec<Vec<f64>> = (0..=max_lag).step_by(10).map(|k| vec![k as f64, acf[k]]).collect();
     ctx.write_csv("fig7_acf.csv", "lag,autocorrelation", &rows);
 
     let rho = exponential_fit(&acf, 100);
@@ -107,8 +103,7 @@ pub fn fig8(ctx: &Ctx) {
     while k < pg.len() {
         let k2 = (k as f64 * 1.3).ceil() as usize;
         let hi = k2.min(pg.len());
-        let p: f64 =
-            pg.power()[k - 1..hi].iter().sum::<f64>() / (hi - (k - 1)) as f64;
+        let p: f64 = pg.power()[k - 1..hi].iter().sum::<f64>() / (hi - (k - 1)) as f64;
         let w: f64 = pg.freqs()[(k - 1 + hi) / 2];
         rows.push(vec![w, p]);
         k = k2 + 1;
@@ -119,13 +114,12 @@ pub fn fig8(ctx: &Ctx) {
     compare(
         "low-frequency behaviour",
         "grows like w^-alpha as w->0 (LRD)",
-        &format!("I(w) ~ w^{:.2} over the lowest 2% of frequencies (R^2 = {:.2})",
-            fit.slope, fit.r_squared),
+        &format!(
+            "I(w) ~ w^{:.2} over the lowest 2% of frequencies (R^2 = {:.2})",
+            fit.slope, fit.r_squared
+        ),
     );
-    println!(
-        "implied H = (1 + alpha)/2 = {:.2}",
-        (1.0 - fit.slope) / 2.0
-    );
+    println!("implied H = (1 + alpha)/2 = {:.2}", (1.0 - fit.slope) / 2.0);
 }
 
 /// Fig 9: mean-rate estimates from growing prefixes with (misleading)
@@ -135,12 +129,10 @@ pub fn fig9(ctx: &Ctx) {
     let series = ctx.trace.frame_series();
     let n = series.len();
     let final_mean = series.iter().sum::<f64>() / n as f64;
-    let ns: Vec<usize> = [
-        1_000usize, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 171_000,
-    ]
-    .into_iter()
-    .filter(|&k| k <= n)
-    .collect();
+    let ns: Vec<usize> = [1_000usize, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 171_000]
+        .into_iter()
+        .filter(|&k| k <= n)
+        .collect();
     let cis = prefix_mean_cis(&series, &ns, 0.95, 0.8);
 
     let mut rows = Vec::new();
@@ -167,11 +159,7 @@ pub fn fig9(ctx: &Ctx) {
         );
         rows.push(vec![*k as f64, iid.mean, iid.lo, iid.hi, lrd.lo, lrd.hi]);
     }
-    ctx.write_csv(
-        "fig9_mean_cis.csv",
-        "n,prefix_mean,iid_lo,iid_hi,lrd_lo,lrd_hi",
-        &rows,
-    );
+    ctx.write_csv("fig9_mean_cis.csv", "n,prefix_mean,iid_lo,iid_hi,lrd_lo,lrd_hi", &rows);
     compare(
         "conventional (iid) CI coverage of the final mean",
         "fails for most n",
@@ -190,10 +178,7 @@ pub fn fig10(ctx: &Ctx) {
     banner("Fig 10 — self-similarity: aggregated series m = 100, 500, 1000");
     let series = ctx.trace.frame_series();
     let mut rows = Vec::new();
-    println!(
-        "{:>6} {:>8} {:>10} {:>10} {:>14}",
-        "m", "points", "r(1)", "r(5)", "CoV of X^(m)"
-    );
+    println!("{:>6} {:>8} {:>10} {:>10} {:>14}", "m", "points", "r(1)", "r(5)", "CoV of X^(m)");
     for &m in &[100usize, 500, 1000] {
         let agg = aggregate(&series, m);
         if agg.len() < 32 {
@@ -202,8 +187,7 @@ pub fn fig10(ctx: &Ctx) {
         }
         let r = autocorrelation(&agg, 5.min(agg.len() - 1));
         let mean = agg.iter().sum::<f64>() / agg.len() as f64;
-        let sd =
-            (agg.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / agg.len() as f64).sqrt();
+        let sd = (agg.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / agg.len() as f64).sqrt();
         println!(
             "{m:>6} {:>8} {:>10.3} {:>10.3} {:>14.3}",
             agg.len(),
@@ -227,10 +211,7 @@ pub fn fig10(ctx: &Ctx) {
 pub fn fig11(ctx: &Ctx) {
     banner("Fig 11 — variance-time plot");
     let series = ctx.trace.frame_series();
-    let vt = variance_time(
-        &series,
-        &VtOptions { fit_min_m: 200, ..VtOptions::default() },
-    );
+    let vt = variance_time(&series, &VtOptions { fit_min_m: 200, ..VtOptions::default() });
     let rows: Vec<Vec<f64>> = vt
         .block_sizes
         .iter()
@@ -248,14 +229,16 @@ pub fn fig12(ctx: &Ctx) {
     banner("Fig 12 — pox diagram of R/S");
     let series = ctx.trace.frame_series();
     let rs = rs_analysis(&series, &RsOptions::default());
-    let rows: Vec<Vec<f64>> =
-        rs.points.iter().map(|&(n, v)| vec![n as f64, v]).collect();
+    let rows: Vec<Vec<f64>> = rs.points.iter().map(|&(n, v)| vec![n as f64, v]).collect();
     ctx.write_csv("fig12_rs_pox.csv", "lag,rs", &rows);
     compare(
         "least-squares slope (asymptotic H)",
         "~0.83",
         &format!("{:.2} (R^2 of the fit: {:.3})", rs.hurst, rs.fit.r_squared),
     );
-    println!("{} pox points over lags 10..{}", rs.points.len(),
-        rs.points.iter().map(|p| p.0).max().unwrap_or(0));
+    println!(
+        "{} pox points over lags 10..{}",
+        rs.points.len(),
+        rs.points.iter().map(|p| p.0).max().unwrap_or(0)
+    );
 }

@@ -158,11 +158,8 @@ pub enum FileCorruption {
 
 impl FileCorruption {
     /// Every file corruption mode, for exhaustive sweeps.
-    pub const ALL: [FileCorruption; 3] = [
-        FileCorruption::Truncated,
-        FileCorruption::TornTail,
-        FileCorruption::BitFlips,
-    ];
+    pub const ALL: [FileCorruption; 3] =
+        [FileCorruption::Truncated, FileCorruption::TornTail, FileCorruption::BitFlips];
 }
 
 /// A deterministic kill point for crash-recovery drills: arms at a unit
@@ -227,18 +224,9 @@ mod tests {
     fn each_mode_produces_its_signature_defect() {
         let xs: Vec<f64> = (0..500).map(|i| (i as f64).cos() + 2.0).collect();
         let inj = FaultInjector::new(3);
-        assert!(inj
-            .apply(&xs, Corruption::NanSpike)
-            .iter()
-            .any(|v| v.is_nan()));
-        assert!(inj
-            .apply(&xs, Corruption::InfSpike)
-            .iter()
-            .any(|v| v.is_infinite()));
-        assert!(inj
-            .apply(&xs, Corruption::NegateRun)
-            .iter()
-            .any(|&v| v < 0.0));
+        assert!(inj.apply(&xs, Corruption::NanSpike).iter().any(|v| v.is_nan()));
+        assert!(inj.apply(&xs, Corruption::InfSpike).iter().any(|v| v.is_infinite()));
+        assert!(inj.apply(&xs, Corruption::NegateRun).iter().any(|&v| v < 0.0));
         let flat = inj.apply(&xs, Corruption::ZeroVarianceRun);
         assert!(flat.iter().all(|&v| v == flat[0]));
         assert_eq!(inj.apply(&xs, Corruption::Truncate).len(), 16);
@@ -267,11 +255,7 @@ mod tests {
         assert_eq!(*torn.last().unwrap(), 0, "torn tail must read as zeros");
         let flipped = inj.apply_bytes(&blob, FileCorruption::BitFlips);
         assert_eq!(flipped.len(), blob.len());
-        let diff_bits: u32 = blob
-            .iter()
-            .zip(&flipped)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
+        let diff_bits: u32 = blob.iter().zip(&flipped).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert!((1..=3).contains(&diff_bits), "expected ≤3 flipped bits, got {diff_bits}");
     }
 

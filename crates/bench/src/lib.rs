@@ -47,8 +47,7 @@ impl Ctx {
 
     fn generate_and_cache(frames: usize, seed: u64, cache: &Path) -> Trace {
         eprintln!("[repro] generating {frames}-frame synthetic movie trace…");
-        let trace =
-            generate_screenplay(&ScreenplayConfig { frames, seed, ..Default::default() });
+        let trace = generate_screenplay(&ScreenplayConfig { frames, seed, ..Default::default() });
         if let Err(e) = trace.save(cache) {
             eprintln!("[repro] warning: could not cache trace: {e}");
         }

@@ -247,11 +247,7 @@ impl PerfReport {
         let _ = writeln!(s, "  \"host_threads\": {host_threads},");
         let _ = writeln!(s, "  \"rustc\": {},", json_str(rustc));
         let _ = writeln!(s, "  \"simd_width\": {},", vbr_stats::simd::LANES);
-        let _ = writeln!(
-            s,
-            "  \"target_features\": {},",
-            json_str(&target_features())
-        );
+        let _ = writeln!(s, "  \"target_features\": {},", json_str(&target_features()));
         let _ = writeln!(s, "  \"regression_tolerance\": {REGRESSION_TOLERANCE},");
         let _ = writeln!(
             s,
@@ -284,11 +280,7 @@ impl PerfReport {
             match e.baseline_secs {
                 Some(b) => {
                     let _ = writeln!(s, "      \"baseline_secs\": {},", json_f64(b));
-                    let _ = writeln!(
-                        s,
-                        "      \"speedup\": {},",
-                        json_f64(e.speedup().unwrap())
-                    );
+                    let _ = writeln!(s, "      \"speedup\": {},", json_f64(e.speedup().unwrap()));
                 }
                 None => {
                     s.push_str("      \"baseline_secs\": null,\n");
@@ -319,16 +311,14 @@ impl PerfReport {
 
     /// Prints a human-readable summary table to stdout.
     pub fn print_summary(&self) {
-        println!("{:<12} {:<42} {:>12} {:>12} {:>8}", "group", "name", "secs", "baseline", "speedup");
+        println!(
+            "{:<12} {:<42} {:>12} {:>12} {:>8}",
+            "group", "name", "secs", "baseline", "speedup"
+        );
         for e in &self.entries {
-            let base = e
-                .baseline_secs
-                .map(|b| format!("{b:.6}"))
-                .unwrap_or_else(|| "-".to_string());
-            let sp = e
-                .speedup()
-                .map(|v| format!("{v:.2}x"))
-                .unwrap_or_else(|| "-".to_string());
+            let base =
+                e.baseline_secs.map(|b| format!("{b:.6}")).unwrap_or_else(|| "-".to_string());
+            let sp = e.speedup().map(|v| format!("{v:.2}x")).unwrap_or_else(|| "-".to_string());
             println!("{:<12} {:<42} {:>12.6} {:>12} {:>8}", e.group, e.name, e.secs, base, sp);
         }
     }

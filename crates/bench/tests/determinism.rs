@@ -30,9 +30,7 @@ fn hurst_signature(xs: &[f64]) -> Vec<String> {
     match robust_hurst(xs) {
         Ok(r) => {
             let mut sig = vec![format!("by:{:?}:{:016x}", r.by, r.hurst.to_bits())];
-            sig.extend(
-                r.estimates.iter().map(|(k, h)| format!("est:{k:?}:{:016x}", h.to_bits())),
-            );
+            sig.extend(r.estimates.iter().map(|(k, h)| format!("est:{k:?}:{:016x}", h.to_bits())));
             sig.extend(r.failures.iter().map(|(k, e)| format!("fail:{k:?}:{e:?}")));
             sig
         }

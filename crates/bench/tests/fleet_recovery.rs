@@ -118,15 +118,12 @@ fn corrupted_checkpoints_degrade_and_never_panic() {
     for (i, mode) in FileCorruption::ALL.into_iter().enumerate() {
         // Every corruption mode on the raw snapshot is a typed refusal.
         let bad = inj.apply_bytes(&bytes, mode);
-        assert!(
-            Fleet::restore(cfg(), &bad).is_err(),
-            "corruption mode {mode:?} must not decode"
-        );
+        assert!(Fleet::restore(cfg(), &bad).is_err(), "corruption mode {mode:?} must not decode");
 
         // Through the store ladder: newest generation corrupted, the
         // older intact one restores and continues bit-identically.
-        let dir = std::env::temp_dir()
-            .join(format!("fleet_drill_corrupt_{}_{i}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("fleet_drill_corrupt_{}_{i}", std::process::id()));
         let store = CheckpointStore::new(&dir).unwrap();
         store.write_bytes(&bytes, CKPT_AT).unwrap();
         store.write_bytes(&bad, CKPT_AT + 1).unwrap();

@@ -123,10 +123,7 @@ fn library_code_never_reads_counters() {
             }
         }
     }
-    assert!(
-        offenders.is_empty(),
-        "library code reads counters: {offenders:?}"
-    );
+    assert!(offenders.is_empty(), "library code reads counters: {offenders:?}");
 }
 
 /// DESIGN.md §14: the chunk width is the compile-time constant `LANES`,
@@ -146,10 +143,7 @@ fn library_code_has_no_runtime_width_knob() {
             }
         }
     }
-    assert!(
-        offenders.is_empty(),
-        "library code has a runtime width knob: {offenders:?}"
-    );
+    assert!(offenders.is_empty(), "library code has a runtime width knob: {offenders:?}");
 }
 
 /// Every `.rs` file under `crates/*/src` except `vbr-bench`'s, with its
@@ -176,10 +170,6 @@ fn library_sources() -> Vec<(std::path::PathBuf, String)> {
             }
         }
     }
-    assert!(
-        sources.len() > 50,
-        "found only {} library sources",
-        sources.len()
-    );
+    assert!(sources.len() > 50, "found only {} library sources", sources.len());
     sources
 }

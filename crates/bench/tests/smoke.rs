@@ -21,8 +21,10 @@ fn tables_run() {
 #[test]
 fn cheap_figures_run_and_write_csv() {
     let ctx = small_ctx("figs");
-    for id in ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-               "fig10", "fig11", "fig12"] {
+    for id in [
+        "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+        "fig12",
+    ] {
         assert!(experiments::run(&ctx, id), "{id} unknown");
     }
     // Spot-check a few outputs exist and are non-trivial.

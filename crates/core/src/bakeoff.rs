@@ -265,10 +265,7 @@ pub fn score_model(
         mean_rel_err: (mean - reference.mean).abs() / reference.mean,
         var_rel_err: (var - reference.variance).abs() / reference.variance,
         acf_rmse: acf_rmse(&reference.acf, &model_acf),
-        hurst_err: panel
-            .median()
-            .zip(reference.hurst.median())
-            .map(|(m, r)| (m - r).abs()),
+        hurst_err: panel.median().zip(reference.hurst.median()).map(|(m, r)| (m - r).abs()),
         hurst: panel,
         queueing_rel_err,
         digest: series_digest(&series),
@@ -328,10 +325,7 @@ pub fn run_bakeoff(
     opts: &BakeoffOptions,
 ) -> BakeoffReport {
     let reference = BakeoffReference::analyze(trace, opts);
-    let scores = zoo
-        .iter_mut()
-        .map(|m| score_model(m.as_mut(), trace, &reference, opts))
-        .collect();
+    let scores = zoo.iter_mut().map(|m| score_model(m.as_mut(), trace, &reference, opts)).collect();
     BakeoffReport {
         reference_len: trace.len(),
         reference_mean: reference.mean,
@@ -387,17 +381,18 @@ impl BakeoffReport {
     /// Machine-readable JSON artifact (hand-emitted; ASCII field names).
     pub fn to_json(&self) -> String {
         fn jf(v: f64) -> String {
-            if v.is_finite() { format!("{v:.9}") } else { "null".to_string() }
+            if v.is_finite() {
+                format!("{v:.9}")
+            } else {
+                "null".to_string()
+            }
         }
         fn jopt(v: Option<f64>) -> String {
             v.map(jf).unwrap_or_else(|| "null".to_string())
         }
         fn jpanel(p: &HurstPanel) -> String {
-            let fields: Vec<String> = p
-                .entries()
-                .iter()
-                .map(|(k, v)| format!("\"{k}\": {}", jopt(*v)))
-                .collect();
+            let fields: Vec<String> =
+                p.entries().iter().map(|(k, v)| format!("\"{k}\": {}", jopt(*v))).collect();
             format!("{{{}}}", fields.join(", "))
         }
         let mut out = String::from("{\n");

@@ -205,10 +205,10 @@ mod tests {
     fn dar1_is_srd_not_lrd() {
         let d = Dar1::new(marginal(), 0.95);
         let xs = d.generate_frames(100_000, 4);
-        let vt = vbr_lrd::variance_time(&xs, &vbr_lrd::VtOptions {
-            fit_min_m: 100,
-            ..Default::default()
-        });
+        let vt = vbr_lrd::variance_time(
+            &xs,
+            &vbr_lrd::VtOptions { fit_min_m: 100, ..Default::default() },
+        );
         // SRD: beta → 1 for m beyond the correlation length.
         assert!(vt.hurst < 0.65, "DAR(1) measured H = {}", vt.hurst);
     }
@@ -220,9 +220,7 @@ mod tests {
         assert!((m.acf_decay() - 0.95).abs() < 1e-9);
         let xs = m.generate_frames(200_000, 5);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>()
-            / xs.len() as f64)
-            .sqrt();
+        let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
         assert!((mean - 27_791.0).abs() / 27_791.0 < 0.05, "mean {mean}");
         assert!((sd - 6_254.0).abs() / 6_254.0 < 0.15, "sd {sd}");
     }

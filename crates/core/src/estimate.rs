@@ -102,9 +102,7 @@ fn try_hurst_method(series: &[f64], method: HurstMethod) -> Result<f64, LrdError
             try_variance_time(series, &VtOptions { fit_min_m: 200, ..VtOptions::default() })
                 .map(|v| v.hurst)
         }
-        HurstMethod::RsAnalysis => {
-            try_rs_analysis(series, &RsOptions::default()).map(|r| r.hurst)
-        }
+        HurstMethod::RsAnalysis => try_rs_analysis(series, &RsOptions::default()).map(|r| r.hurst),
         HurstMethod::WhittleLog { aggregation } => {
             let logged: Vec<f64> = series.iter().map(|&x| x.max(1e-9).ln()).collect();
             // Walk the requested level down until the aggregated series is
@@ -120,10 +118,7 @@ fn try_hurst_method(series: &[f64], method: HurstMethod) -> Result<f64, LrdError
 /// fails it degrades to the [`vbr_lrd::robust_hurst`] ensemble instead
 /// of panicking, recording the answering estimator in
 /// [`Estimate::hurst_fallback`].
-pub fn try_estimate_series(
-    series: &[f64],
-    opts: &EstimateOptions,
-) -> Result<Estimate, ModelError> {
+pub fn try_estimate_series(series: &[f64], opts: &EstimateOptions) -> Result<Estimate, ModelError> {
     check_min_len(series, 1000)?;
     check_all_finite(series)?;
     check_non_constant(series)?;
@@ -172,10 +167,7 @@ pub fn estimate_trace(trace: &Trace, opts: &EstimateOptions) -> Estimate {
 }
 
 /// Fallible [`estimate_trace`].
-pub fn try_estimate_trace(
-    trace: &Trace,
-    opts: &EstimateOptions,
-) -> Result<Estimate, ModelError> {
+pub fn try_estimate_trace(trace: &Trace, opts: &EstimateOptions) -> Result<Estimate, ModelError> {
     try_estimate_series(&trace.frame_series(), opts)
 }
 
@@ -219,15 +211,10 @@ mod tests {
 
     #[test]
     fn estimate_from_screenplay_lands_near_calibration() {
-        let trace = vbr_video::generate_screenplay(
-            &vbr_video::ScreenplayConfig::short(60_000, 5),
-        );
+        let trace = vbr_video::generate_screenplay(&vbr_video::ScreenplayConfig::short(60_000, 5));
         let est = estimate_trace(
             &trace,
-            &EstimateOptions {
-                hurst_method: HurstMethod::VarianceTime,
-                ..Default::default()
-            },
+            &EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() },
         );
         let p = est.params;
         assert!((p.mu_gamma - 27_791.0).abs() / 27_791.0 < 0.05, "mu {}", p.mu_gamma);
@@ -238,9 +225,7 @@ mod tests {
 
     #[test]
     fn whittle_method_works_on_trace() {
-        let trace = vbr_video::generate_screenplay(
-            &vbr_video::ScreenplayConfig::short(40_000, 6),
-        );
+        let trace = vbr_video::generate_screenplay(&vbr_video::ScreenplayConfig::short(40_000, 6));
         let est = estimate_trace(
             &trace,
             &EstimateOptions {
@@ -288,10 +273,7 @@ mod tests {
         let xs: Vec<f64> = (0..1_100).map(|_| rng.standard_normal().exp() * 50.0).collect();
         let est = try_estimate_series(
             &xs,
-            &EstimateOptions {
-                hurst_method: HurstMethod::VarianceTime,
-                ..Default::default()
-            },
+            &EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() },
         )
         .expect("fallback should rescue the estimate");
         assert!(est.hurst_fallback.is_some(), "expected ensemble fallback");
@@ -300,9 +282,7 @@ mod tests {
 
     #[test]
     fn healthy_series_reports_no_fallback() {
-        let trace = vbr_video::generate_screenplay(
-            &vbr_video::ScreenplayConfig::short(40_000, 6),
-        );
+        let trace = vbr_video::generate_screenplay(&vbr_video::ScreenplayConfig::short(40_000, 6));
         let est = try_estimate_trace(&trace, &EstimateOptions::default()).unwrap();
         assert!(est.hurst_fallback.is_none());
         let direct = estimate_trace(&trace, &EstimateOptions::default());

@@ -122,16 +122,10 @@ impl SourceModel {
     }
 
     /// Fallible [`lrd_ar1_gamma_pareto`](Self::lrd_ar1_gamma_pareto).
-    pub fn try_lrd_ar1_gamma_pareto(
-        params: ModelParams,
-        rho: f64,
-    ) -> Result<Self, ModelError> {
+    pub fn try_lrd_ar1_gamma_pareto(params: ModelParams, rho: f64) -> Result<Self, ModelError> {
         params.validate()?;
         check_in_range("AR(1) rho", rho, 0.0, 1.0)?;
-        Ok(SourceModel {
-            correlation: CorrelationVariant::LrdAr1 { rho },
-            ..Self::full(params)
-        })
+        Ok(SourceModel { correlation: CorrelationVariant::LrdAr1 { rho }, ..Self::full(params) })
     }
 
     /// Checks that the model's parameters (including any correlation-stage
@@ -190,8 +184,7 @@ impl SourceModel {
     /// [`try_generate_frames`](Self::try_generate_frames) is the fallible
     /// equivalent.
     pub fn generate_frames(&self, n: usize, seed: u64) -> Vec<f64> {
-        self.try_generate_frames(n, seed)
-            .unwrap_or_else(|e| panic!("generate_frames: {e}"))
+        self.try_generate_frames(n, seed).unwrap_or_else(|e| panic!("generate_frames: {e}"))
     }
 
     /// Fallible [`generate_frames`](Self::generate_frames): validates the
@@ -347,18 +340,14 @@ mod tests {
         let xs = m.generate_frames(100_000, 3);
         // Gaussian symmetry: skewness ≈ 0; the Gamma/Pareto is right-skewed.
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64)
-            .sqrt();
-        let skew = xs.iter().map(|&x| ((x - mean) / sd).powi(3)).sum::<f64>()
-            / xs.len() as f64;
+        let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
+        let skew = xs.iter().map(|&x| ((x - mean) / sd).powi(3)).sum::<f64>() / xs.len() as f64;
         assert!(skew.abs() < 0.1, "gaussian skewness {skew}");
 
         let gp = SourceModel::full(params()).generate_frames(100_000, 3);
         let mg = gp.iter().sum::<f64>() / gp.len() as f64;
-        let sg =
-            (gp.iter().map(|&x| (x - mg).powi(2)).sum::<f64>() / gp.len() as f64).sqrt();
-        let skew_gp =
-            gp.iter().map(|&x| ((x - mg) / sg).powi(3)).sum::<f64>() / gp.len() as f64;
+        let sg = (gp.iter().map(|&x| (x - mg).powi(2)).sum::<f64>() / gp.len() as f64).sqrt();
+        let skew_gp = gp.iter().map(|&x| ((x - mg) / sg).powi(3)).sum::<f64>() / gp.len() as f64;
         assert!(skew_gp > 0.2, "Gamma/Pareto skewness {skew_gp}");
     }
 
@@ -371,9 +360,7 @@ mod tests {
         let b = m.generate_frames(8_000, 4);
         let stat = |v: &[f64]| {
             let mean = v.iter().sum::<f64>() / v.len() as f64;
-            let sd = (v.iter().map(|&x| (x - mean).powi(2)).sum::<f64>()
-                / v.len() as f64)
-                .sqrt();
+            let sd = (v.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / v.len() as f64).sqrt();
             (mean, sd)
         };
         let (ma, sa) = stat(&a);

@@ -52,8 +52,7 @@ impl FarimaGpModel {
     /// parameters; [`try_from_params`](Self::try_from_params) is the
     /// fallible variant.
     pub fn from_params(params: &ModelParams, block: usize, seed: u64) -> Self {
-        Self::try_from_params(params, block, seed)
-            .unwrap_or_else(|e| panic!("FarimaGpModel: {e}"))
+        Self::try_from_params(params, block, seed).unwrap_or_else(|e| panic!("FarimaGpModel: {e}"))
     }
 
     /// Fallible [`from_params`](Self::from_params).
@@ -142,11 +141,8 @@ pub fn fit_mwm(trace: &[f64], seed: u64) -> MwmModel {
     let diagram = logscale_diagram(trace);
 
     let mut shapes = vec![f64::NAN; j_levels];
-    for ((&j, &lv), &ae) in diagram
-        .octaves
-        .iter()
-        .zip(&diagram.log2_variance)
-        .zip(&diagram.approx_energy)
+    for ((&j, &lv), &ae) in
+        diagram.octaves.iter().zip(&diagram.log2_variance).zip(&diagram.approx_energy)
     {
         if j > j_levels || ae <= 0.0 {
             continue;
@@ -198,11 +194,7 @@ pub fn fit_mwm(trace: &[f64], seed: u64) -> MwmModel {
 /// [`crate::estimate_series`] output for the same trace), the MWM from
 /// the trace's Haar energies, and the scene chain from its measured
 /// scene statistics. Returned boxed so callers can iterate one seam.
-pub fn model_zoo(
-    trace: &[f64],
-    params: &ModelParams,
-    seed: u64,
-) -> Vec<Box<dyn TrafficModel>> {
+pub fn model_zoo(trace: &[f64], params: &ModelParams, seed: u64) -> Vec<Box<dyn TrafficModel>> {
     vec![
         Box::new(FarimaGpModel::from_params(params, DEFAULT_MODEL_BLOCK, seed)),
         Box::new(fit_mwm(trace, seed ^ 0x4D57_4D00)),
@@ -277,11 +269,7 @@ mod tests {
         let mut mwm = fit_mwm(&trace, 3);
         let ys = mwm.sample_series(65_536);
         let est = vbr_lrd::wavelet_hurst(&ys, None, None);
-        assert!(
-            est.hurst > 0.7,
-            "MWM lost the LRD scaling: refit H = {}",
-            est.hurst
-        );
+        assert!(est.hurst > 0.7, "MWM lost the LRD scaling: refit H = {}", est.hurst);
     }
 
     #[test]

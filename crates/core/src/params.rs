@@ -24,8 +24,7 @@ impl ModelParams {
     /// Creates a parameter set, validating every range. Panics on invalid
     /// input; [`try_new`](Self::try_new) is the fallible equivalent.
     pub fn new(mu_gamma: f64, sigma_gamma: f64, tail_slope: f64, hurst: f64) -> Self {
-        Self::try_new(mu_gamma, sigma_gamma, tail_slope, hurst)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(mu_gamma, sigma_gamma, tail_slope, hurst).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`new`](Self::new): rejects non-positive or non-finite

@@ -39,10 +39,7 @@ pub fn round_trip(model: &SourceModel, n: usize, seed: u64) -> Validation {
     let series = model.generate_frames(n, seed);
     let est = estimate_series(
         &series,
-        &EstimateOptions {
-            hurst_method: HurstMethod::VarianceTime,
-            ..Default::default()
-        },
+        &EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() },
     );
     let truth = model.params;
     let rec = est.params;

@@ -4,17 +4,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
-use vbr_model::{
-    try_estimate_series, Dar1, EstimateOptions, ModelError, ModelParams, SourceModel,
-};
+use vbr_model::{try_estimate_series, Dar1, EstimateOptions, ModelError, ModelParams, SourceModel};
 use vbr_stats::error::DataError;
 
 fn params_strategy() -> impl Strategy<Value = ModelParams> {
     (
-        1e2f64..1e6,     // mu
-        0.05f64..0.6,    // CoV
-        1.5f64..15.0,    // tail slope
-        0.55f64..0.95,   // H
+        1e2f64..1e6,   // mu
+        0.05f64..0.6,  // CoV
+        1.5f64..15.0,  // tail slope
+        0.55f64..0.95, // H
     )
         .prop_map(|(mu, cv, a, h)| ModelParams::new(mu, mu * cv, a, h))
 }

@@ -90,9 +90,9 @@ fn snapshot_kill_restore_is_bit_identical_at_arbitrary_boundaries() {
                 // rejection below instead.
                 continue;
             }
-            let seq = revived.restore(&snap).unwrap_or_else(|e| {
-                panic!("{name}: restore failed at advance {advance}: {e}")
-            });
+            let seq = revived
+                .restore(&snap)
+                .unwrap_or_else(|e| panic!("{name}: restore failed at advance {advance}: {e}"));
             assert_eq!(seq, advance as u64, "{name}: sequence number lost");
             assert_eq!(
                 revived.sample_series(1500),
@@ -120,11 +120,7 @@ fn corrupted_and_foreign_snapshots_are_rejected_without_mutation() {
         let _ = target.sample_series(100);
         assert!(target.restore(&bad).is_err(), "{name}: corrupted snapshot accepted");
         // And the failed restore left the stream state untouched.
-        assert_eq!(
-            target.sample_series(64),
-            want,
-            "{name}: failed restore mutated state"
-        );
+        assert_eq!(target.sample_series(64), want, "{name}: failed restore mutated state");
 
         // Truncation must be rejected too.
         let mut target = (f.fresh)();

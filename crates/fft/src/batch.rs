@@ -49,12 +49,7 @@ impl FftPlan {
     fn run_lanes<const FWD: bool>(&self, data: &mut [Complex], l: usize) {
         let n = self.n;
         assert!(l >= 1, "lane count must be >= 1");
-        assert_eq!(
-            data.len(),
-            n * l,
-            "plan is for length {n} x {l} lanes, got {}",
-            data.len()
-        );
+        assert_eq!(data.len(), n * l, "plan is for length {n} x {l} lanes, got {}", data.len());
         if n <= 1 {
             return;
         }
@@ -130,9 +125,8 @@ fn radix4_stage_lanes<const FWD: bool>(
             // gathers, and no cross-lane arithmetic.
             for v in 0..l {
                 let idx = j * l + v;
-                let (o0, o1, o2, o3) = radix4_core::<FWD>(
-                    q0[idx], q1[idx], q2[idx], q3[idx], r1, i1, r2, i2, r3, i3,
-                );
+                let (o0, o1, o2, o3) =
+                    radix4_core::<FWD>(q0[idx], q1[idx], q2[idx], q3[idx], r1, i1, r2, i2, r3, i3);
                 q0[idx] = o0;
                 q1[idx] = o1;
                 q2[idx] = o2;
@@ -257,10 +251,7 @@ mod tests {
                     let mut scalar = lane.clone();
                     plan.forward(&mut scalar);
                     for j in 0..n {
-                        assert_eq!(
-                            interleaved[j * l + v], scalar[j],
-                            "n={n} l={l} lane={v} j={j}"
-                        );
+                        assert_eq!(interleaved[j * l + v], scalar[j], "n={n} l={l} lane={v} j={j}");
                     }
                 }
             }

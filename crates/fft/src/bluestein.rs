@@ -177,8 +177,8 @@ mod tests {
             .map(|k| {
                 let mut acc = Complex::ZERO;
                 for (j, &v) in x.iter().enumerate() {
-                    let ang = sign * 2.0 * std::f64::consts::PI * (j as f64) * (k as f64)
-                        / n as f64;
+                    let ang =
+                        sign * 2.0 * std::f64::consts::PI * (j as f64) * (k as f64) / n as f64;
                     acc += v * Complex::cis(ang);
                 }
                 acc
@@ -196,9 +196,8 @@ mod tests {
     #[test]
     fn matches_naive_for_awkward_sizes() {
         for &n in &[3usize, 5, 6, 7, 12, 17, 30, 37, 97, 100] {
-            let x: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64).sin(), (2.0 * i as f64).cos()))
-                .collect();
+            let x: Vec<Complex> =
+                (0..n).map(|i| Complex::new((i as f64).sin(), (2.0 * i as f64).cos())).collect();
             let got = chirp(&x, Direction::Forward);
             let want = naive_dft(&x, Direction::Forward);
             for (g, w) in got.iter().zip(&want) {
@@ -223,9 +222,8 @@ mod tests {
         // j² naive angle computation loses precision around n ~ 1e5;
         // the mod-2n trick must keep the error tiny.
         let n = 10_007; // prime
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::from_re(((i * 37) % 101) as f64 / 101.0))
-            .collect();
+        let x: Vec<Complex> =
+            (0..n).map(|i| Complex::from_re(((i * 37) % 101) as f64 / 101.0)).collect();
         let y = chirp(&x, Direction::Forward);
         // Parseval: Σ|x|² = (1/n) Σ|X|².
         let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
@@ -236,9 +234,8 @@ mod tests {
     #[test]
     fn plan_reuse_matches_one_shot() {
         let n = 137;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.11).sin()))
-            .collect();
+        let x: Vec<Complex> =
+            (0..n).map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.11).sin())).collect();
         let want = chirp(&x, Direction::Forward);
         let plan = bluestein_plan_for(n, Direction::Forward);
         let again = bluestein_plan_for(n, Direction::Forward);

@@ -102,10 +102,7 @@ impl Mul for Complex {
     type Output = Complex;
     #[inline]
     fn mul(self, rhs: Complex) -> Complex {
-        Complex::new(
-            self.re * rhs.re - self.im * rhs.im,
-            self.re * rhs.im + self.im * rhs.re,
-        )
+        Complex::new(self.re * rhs.re - self.im * rhs.im, self.re * rhs.im + self.im * rhs.re)
     }
 }
 

@@ -217,10 +217,7 @@ fn radix4_stage<const FWD: bool>(data: &mut [Complex], len: usize, w_re: &[f64],
         let mut j = 0;
         while j < main {
             for l in 0..LANES {
-                radix4_butterfly::<FWD>(
-                    q0, q1, q2, q3, w1re, w1im, w2re, w2im, w3re, w3im,
-                    j + l,
-                );
+                radix4_butterfly::<FWD>(q0, q1, q2, q3, w1re, w1im, w2re, w2im, w3re, w3im, j + l);
             }
             j += LANES;
         }
@@ -249,16 +246,7 @@ fn radix4_butterfly<const FWD: bool>(
     j: usize,
 ) {
     let (o0, o1, o2, o3) = radix4_core::<FWD>(
-        q0[j],
-        q1[j],
-        q2[j],
-        q3[j],
-        w1re[j],
-        w1im[j],
-        w2re[j],
-        w2im[j],
-        w3re[j],
-        w3im[j],
+        q0[j], q1[j], q2[j], q3[j], w1re[j], w1im[j], w2re[j], w2im[j], w3re[j], w3im[j],
     );
     q0[j] = o0;
     q1[j] = o1;
@@ -306,15 +294,9 @@ pub(crate) fn radix4_core<const FWD: bool>(
     let o2 = Complex::new(s0_re - s2_re, s0_im - s2_im);
     let (o1, o3) = if FWD {
         // ∓i rotation: s1 − i·s3 and s1 + i·s3.
-        (
-            Complex::new(s1_re + s3_im, s1_im - s3_re),
-            Complex::new(s1_re - s3_im, s1_im + s3_re),
-        )
+        (Complex::new(s1_re + s3_im, s1_im - s3_re), Complex::new(s1_re - s3_im, s1_im + s3_re))
     } else {
-        (
-            Complex::new(s1_re - s3_im, s1_im + s3_re),
-            Complex::new(s1_re + s3_im, s1_im - s3_re),
-        )
+        (Complex::new(s1_re - s3_im, s1_im + s3_re), Complex::new(s1_re + s3_im, s1_im - s3_re))
     };
     (o0, o1, o2, o3)
 }
@@ -566,9 +548,8 @@ mod tests {
     #[test]
     fn forward_inverse_entry_points_match_process() {
         let n = 256;
-        let x: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.9).sin()))
-            .collect();
+        let x: Vec<Complex> =
+            (0..n).map(|i| Complex::new((i as f64 * 0.3).cos(), (i as f64 * 0.9).sin())).collect();
         let plan = plan_for(n);
         let mut a = x.clone();
         plan.forward(&mut a);

@@ -268,7 +268,13 @@ impl RealFftPlan {
     ) {
         let n = self.n;
         let h = n / 2;
-        assert_eq!(half.len(), h + 1, "plan needs {} half-spectrum bins, got {}", h + 1, half.len());
+        assert_eq!(
+            half.len(),
+            h + 1,
+            "plan needs {} half-spectrum bins, got {}",
+            h + 1,
+            half.len()
+        );
         // Resize only on first use / size change: every element below is
         // overwritten, so the old clear()+resize() pattern re-zeroed `h`
         // complex slots per window for nothing. Past the `h` data slots
@@ -292,11 +298,8 @@ impl RealFftPlan {
             scratch[0] = Complex::new(a.re - b.im, a.im + b.re);
         }
         for k in 1..h {
-            let (wk, wkh) = if CONJ {
-                (half[k].conj(), half[h - k])
-            } else {
-                (half[k], half[h - k].conj())
-            };
+            let (wk, wkh) =
+                if CONJ { (half[k].conj(), half[h - k]) } else { (half[k], half[h - k].conj()) };
             let a = wk + wkh;
             let d = wk - wkh;
             let b_re = d.re * self.tw_re[k] - d.im * self.tw_im[k];
@@ -370,12 +373,8 @@ mod tests {
         let expect = (n as f64 / 2.0).powi(2);
         assert!((p[f] - expect).abs() < 1e-6);
         assert!((p[n - f] - expect).abs() < 1e-6);
-        let rest: f64 = p
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| *k != f && *k != n - f)
-            .map(|(_, v)| v)
-            .sum();
+        let rest: f64 =
+            p.iter().enumerate().filter(|(k, _)| *k != f && *k != n - f).map(|(_, v)| v).sum();
         assert!(rest < 1e-6);
     }
 

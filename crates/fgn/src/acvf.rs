@@ -5,10 +5,7 @@
 /// Converts a Hurst parameter to the fractional-differencing parameter
 /// `d = H − ½` (paper §4.1).
 pub fn hurst_to_d(hurst: f64) -> f64 {
-    assert!(
-        (0.5..1.0).contains(&hurst),
-        "LRD generation requires H in [0.5, 1), got {hurst}"
-    );
+    assert!((0.5..1.0).contains(&hurst), "LRD generation requires H in [0.5, 1), got {hurst}");
     hurst - 0.5
 }
 
@@ -18,10 +15,7 @@ pub fn hurst_to_d(hurst: f64) -> f64 {
 ///
 /// Returns `ρ_0..=ρ_max_lag` (so `max_lag + 1` values, `ρ_0 = 1`).
 pub fn farima_acf(d: f64, max_lag: usize) -> Vec<f64> {
-    assert!(
-        (-0.5..0.5).contains(&d),
-        "fractional ARIMA requires -1/2 < d < 1/2, got {d}"
-    );
+    assert!((-0.5..0.5).contains(&d), "fractional ARIMA requires -1/2 < d < 1/2, got {d}");
     let mut rho = Vec::with_capacity(max_lag + 1);
     rho.push(1.0);
     for k in 1..=max_lag {
@@ -36,10 +30,7 @@ pub fn farima_acf(d: f64, max_lag: usize) -> Vec<f64> {
 /// (the increment process of fractional Brownian motion):
 /// `γ_k = ½(|k+1|^{2H} − 2|k|^{2H} + |k−1|^{2H})`.
 pub fn fgn_acvf(hurst: f64, max_lag: usize) -> Vec<f64> {
-    assert!(
-        (0.0..1.0).contains(&hurst) && hurst > 0.0,
-        "fGn requires H in (0, 1), got {hurst}"
-    );
+    assert!((0.0..1.0).contains(&hurst) && hurst > 0.0, "fGn requires H in (0, 1), got {hurst}");
     let h2 = 2.0 * hurst;
     (0..=max_lag)
         .map(|k| {
@@ -67,8 +58,7 @@ mod tests {
         // ρ_k ~ c k^{2d−1}: the log-log slope over large k approaches 2d−1.
         let d = 0.3;
         let rho = farima_acf(d, 20_000);
-        let slope = (rho[20_000].ln() - rho[2_000].ln())
-            / ((20_000f64).ln() - (2_000f64).ln());
+        let slope = (rho[20_000].ln() - rho[2_000].ln()) / ((20_000f64).ln() - (2_000f64).ln());
         assert!((slope - (2.0 * d - 1.0)).abs() < 0.01, "slope {slope}");
     }
 

@@ -112,11 +112,7 @@ fn slot_for(cache: &'static VecCache, key: Key) -> Slot {
     Arc::clone(slot)
 }
 
-fn memoize(
-    cache: &'static VecCache,
-    key: Key,
-    build: impl FnOnce() -> Vec<f64>,
-) -> Arc<Vec<f64>> {
+fn memoize(cache: &'static VecCache, key: Key, build: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
     let slot = slot_for(cache, key);
     let mut guard = slot.lock().expect("acvf cache slot poisoned");
     if let Some(hit) = guard.as_ref() {
@@ -286,8 +282,7 @@ mod tests {
         // lock must hand every thread the same Arc.
         let h = 0.654_321;
         let arcs: Vec<Arc<Vec<f64>>> = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..8).map(|_| s.spawn(|| fgn_acvf_cached(h, 8192))).collect();
+            let handles: Vec<_> = (0..8).map(|_| s.spawn(|| fgn_acvf_cached(h, 8192))).collect();
             handles.into_iter().map(|j| j.join().unwrap()).collect()
         });
         for a in &arcs[1..] {

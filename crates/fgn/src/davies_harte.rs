@@ -65,10 +65,7 @@ impl DaviesHarte {
     /// Creates a generator with Hurst parameter `H ∈ (0, 1)` and marginal
     /// variance `v₀`.
     pub fn new(hurst: f64, variance: f64) -> Self {
-        assert!(
-            hurst > 0.0 && hurst < 1.0,
-            "Davies-Harte requires H in (0,1), got {hurst}"
-        );
+        assert!(hurst > 0.0 && hurst < 1.0, "Davies-Harte requires H in (0,1), got {hurst}");
         assert!(variance > 0.0, "variance must be positive, got {variance}");
         DaviesHarte { hurst, variance }
     }
@@ -109,11 +106,7 @@ impl DaviesHarte {
     /// [`FgnError::NonPsdEmbedding`] instead of silently clamping it
     /// (round-off-sized negatives are still clamped, so valid inputs
     /// produce bit-identical output to the panicking path).
-    pub fn try_generate_with(
-        &self,
-        n: usize,
-        rng: &mut Xoshiro256,
-    ) -> Result<Vec<f64>, FgnError> {
+    pub fn try_generate_with(&self, n: usize, rng: &mut Xoshiro256) -> Result<Vec<f64>, FgnError> {
         let _span = vbr_stats::obs::span("fgn.davies_harte");
         if n == 0 {
             return Ok(Vec::new());
@@ -158,12 +151,7 @@ impl DaviesHarte {
 
 /// Draws a Gaussian vector whose circulant covariance has eigenvalues
 /// `lambda`, returning the first `n` points scaled by `sd`.
-fn synthesise_from_spectrum(
-    lambda: &[f64],
-    n: usize,
-    sd: f64,
-    rng: &mut Xoshiro256,
-) -> Vec<f64> {
+fn synthesise_from_spectrum(lambda: &[f64], n: usize, sd: f64, rng: &mut Xoshiro256) -> Vec<f64> {
     let mut scratch = SynthScratch::new();
     let mut out = Vec::new();
     synthesise_real_into(lambda, rng, &mut scratch, &mut out);
@@ -362,8 +350,7 @@ pub(crate) fn synthesise_real_lanes_into(
         let scale = scales.sk[k - 1];
         for v in 0..l {
             let row = &scratch.gauss[v * m..(v + 1) * m];
-            scratch.half[k * l + v] =
-                Complex::new(scale * row[2 * k], scale * row[2 * k + 1]);
+            scratch.half[k * l + v] = Complex::new(scale * row[2 * k], scale * row[2 * k + 1]);
         }
     }
     plan.synthesize_hermitian_lanes(&scratch.half, out, &mut scratch.fft, l);
@@ -460,19 +447,14 @@ mod tests {
         // Self-similarity: Var[B(2t)] / Var[B(t)] = 2^{2H} across fresh
         // realisations — check via increments over disjoint blocks.
         let var_at = |span: usize| {
-            let incs: Vec<f64> = path
-                .chunks_exact(span)
-                .map(|c| c.last().unwrap() - c.first().unwrap())
-                .collect();
+            let incs: Vec<f64> =
+                path.chunks_exact(span).map(|c| c.last().unwrap() - c.first().unwrap()).collect();
             let m = incs.iter().sum::<f64>() / incs.len() as f64;
             incs.iter().map(|v| (v - m).powi(2)).sum::<f64>() / incs.len() as f64
         };
         let ratio = var_at(2_048) / var_at(1_024);
         let want = 2f64.powf(2.0 * h);
-        assert!(
-            (ratio / want - 1.0).abs() < 0.45,
-            "variance ratio {ratio} vs 2^2H = {want}"
-        );
+        assert!((ratio / want - 1.0).abs() < 0.45, "variance ratio {ratio} vs 2^2H = {want}");
     }
 
     #[test]

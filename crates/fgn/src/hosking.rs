@@ -163,7 +163,9 @@ mod tests {
     fn memoized_recursion_matches_inline_reference() {
         // The reflection-coefficient cache and the fused Eq (10)+(11)
         // loop must not change a single bit of any sample path.
-        for &(h, var, n, seed) in &[(0.8f64, 1.0f64, 300usize, 7u64), (0.6, 4.0, 128, 3), (0.95, 0.5, 64, 11)] {
+        for &(h, var, n, seed) in
+            &[(0.8f64, 1.0f64, 300usize, 7u64), (0.6, 4.0, 128, 3), (0.95, 0.5, 64, 11)]
+        {
             let g = Hosking::new(h, var);
             let got = g.generate(n, seed);
             let want = reference_generate(hurst_to_d(h), var, n, seed);
@@ -219,10 +221,7 @@ mod tests {
         let g = Hosking::new(0.85, 1.0);
         let x = g.generate(50_000, 4);
         let m = 100;
-        let agg: Vec<f64> = x
-            .chunks(m)
-            .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-            .collect();
+        let agg: Vec<f64> = x.chunks(m).map(|c| c.iter().sum::<f64>() / c.len() as f64).collect();
         let var_agg = {
             let mu = agg.iter().sum::<f64>() / agg.len() as f64;
             agg.iter().map(|v| (v - mu).powi(2)).sum::<f64>() / agg.len() as f64

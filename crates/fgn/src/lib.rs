@@ -40,16 +40,16 @@ pub mod traffic;
 
 pub use acvf::{farima_acf, fgn_acvf, hurst_to_d};
 pub use arma::{arma_noise, yule_walker, ArmaFilter};
+pub use batch::{BatchStream, SourceModel, MAX_CIRCULANT_LEN};
 pub use cache::{
     farima_acf_cached, farima_circulant_spectrum_cached, fgn_acvf_cached,
     fgn_circulant_spectrum_cached,
 };
-pub use batch::{BatchStream, SourceModel, MAX_CIRCULANT_LEN};
 pub use davies_harte::{circulant_spectrum, fbm_path, DaviesHarte};
 pub use error::FgnError;
 pub use hosking::Hosking;
 pub use marginal::{MarginalTransform, TableMode};
 pub use mwm::{MwmConfig, MwmModel};
 pub use robust::{FgnEngine, RobustFgn, RobustFgnResult};
-pub use traffic::{TraceReplay, TrafficModel, TRAFFIC_STATE_TAG};
 pub use stream::{farima_via_circulant, BlockSource, FarimaStream, FgnStream, StreamState};
+pub use traffic::{TraceReplay, TrafficModel, TRAFFIC_STATE_TAG};

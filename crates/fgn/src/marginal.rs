@@ -336,11 +336,7 @@ mod tests {
         let xs: Vec<f64> = (0..100_000).map(|_| rng.standard_normal()).collect();
         let ys = f.map_series(&xs);
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-        assert!(
-            (mean - t.mean()).abs() / t.mean() < 0.01,
-            "mean {mean} vs {}",
-            t.mean()
-        );
+        assert!((mean - t.mean()).abs() / t.mean() < 0.01, "mean {mean} vs {}", t.mean());
         // Empirical 99th percentile vs target quantile.
         let mut sorted = ys.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -385,11 +381,7 @@ mod tests {
         let xs: Vec<f64> = (0..1000).map(|_| rng.standard_normal()).collect();
         let ys = f.map_series(&xs);
         for i in 1..xs.len() {
-            assert_eq!(
-                xs[i] > xs[i - 1],
-                ys[i] > ys[i - 1],
-                "order flipped at {i}"
-            );
+            assert_eq!(xs[i] > xs[i - 1], ys[i] > ys[i - 1], "order flipped at {i}");
         }
     }
 
@@ -447,9 +439,10 @@ mod tests {
         }
         let mut buf = vec![0.0; 8];
         match f.try_map_block_from(&mut Poisoned, &mut buf) {
-            Err(crate::error::FgnError::Data(
-                vbr_stats::error::DataError::NonFiniteSample { index, .. },
-            )) => assert_eq!(index, 3),
+            Err(crate::error::FgnError::Data(vbr_stats::error::DataError::NonFiniteSample {
+                index,
+                ..
+            })) => assert_eq!(index, 3),
             other => panic!("expected NonFiniteSample, got {other:?}"),
         }
     }

@@ -108,8 +108,7 @@ impl MwmModel {
     fn refill(&mut self) {
         let j_levels = self.cfg.levels();
         // Root approximation coefficient: Gaussian, clamped non-negative.
-        self.buf[0] =
-            (self.cfg.root_mean + self.cfg.root_sd * self.rng.standard_normal()).max(0.0);
+        self.buf[0] = (self.cfg.root_mean + self.cfg.root_sd * self.rng.standard_normal()).max(0.0);
         let mut len = 1usize;
         for level in 0..j_levels {
             // This level creates the details of octave `j = J − level`.
@@ -144,8 +143,7 @@ impl BlockSource for MwmModel {
                 self.pos = 0;
             }
             let take = (out.len() - filled).min(self.buf.len() - self.pos);
-            out[filled..filled + take]
-                .copy_from_slice(&self.buf[self.pos..self.pos + take]);
+            out[filled..filled + take].copy_from_slice(&self.buf[self.pos..self.pos + take]);
             self.pos += take;
             filled += take;
         }
@@ -233,10 +231,7 @@ mod tests {
         let xs = m.sample_series(1 << 14);
         assert!(xs.iter().all(|&x| x >= 0.0 && x.is_finite()));
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!(
-            (mean - 1000.0).abs() / 1000.0 < 0.1,
-            "mean {mean} vs nominal 1000"
-        );
+        assert!((mean - 1000.0).abs() / 1000.0 < 0.1, "mean {mean} vs nominal 1000");
     }
 
     #[test]
@@ -300,9 +295,6 @@ mod tests {
         }
         let want = 1.0 / (2.0 * p + 1.0);
         let got = dd / aa;
-        assert!(
-            (got - want).abs() / want < 0.05,
-            "E[m²] {got:.4} vs theoretical {want:.4}"
-        );
+        assert!((got - want).abs() / want < 0.05, "E[m²] {got:.4} vs theoretical {want:.4}");
     }
 }

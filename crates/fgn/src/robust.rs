@@ -65,11 +65,9 @@ impl RobustFgn {
     pub fn generate(&self, n: usize, seed: u64) -> RobustFgnResult {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         match DaviesHarte::new(self.hurst, self.variance).try_generate_with(n, &mut rng) {
-            Ok(series) => RobustFgnResult {
-                series,
-                engine: FgnEngine::DaviesHarte,
-                fallback_reason: None,
-            },
+            Ok(series) => {
+                RobustFgnResult { series, engine: FgnEngine::DaviesHarte, fallback_reason: None }
+            }
             Err(reason) => {
                 obs::counter_add(Counter::HoskingFallback, 1);
                 obs::event_with("fgn.hosking_fallback", || format!("n={n}, reason: {reason}"));
@@ -91,11 +89,9 @@ impl RobustFgn {
     pub fn generate_from_acvf(&self, gamma: &[f64], n: usize, seed: u64) -> RobustFgnResult {
         let mut rng = Xoshiro256::seed_from_u64(seed);
         match DaviesHarte::try_generate_from_acvf(gamma, n, &mut rng) {
-            Ok(series) => RobustFgnResult {
-                series,
-                engine: FgnEngine::DaviesHarte,
-                fallback_reason: None,
-            },
+            Ok(series) => {
+                RobustFgnResult { series, engine: FgnEngine::DaviesHarte, fallback_reason: None }
+            }
             Err(reason) => {
                 obs::counter_add(Counter::HoskingFallback, 1);
                 obs::event_with("fgn.hosking_fallback", || format!("n={n}, reason: {reason}"));
@@ -128,18 +124,9 @@ mod tests {
 
     #[test]
     fn invalid_params_rejected_with_typed_errors() {
-        assert!(matches!(
-            RobustFgn::try_new(0.4, 1.0),
-            Err(FgnError::InvalidHurst { .. })
-        ));
-        assert!(matches!(
-            RobustFgn::try_new(f64::NAN, 1.0),
-            Err(FgnError::InvalidHurst { .. })
-        ));
-        assert!(matches!(
-            RobustFgn::try_new(0.8, 0.0),
-            Err(FgnError::InvalidVariance { .. })
-        ));
+        assert!(matches!(RobustFgn::try_new(0.4, 1.0), Err(FgnError::InvalidHurst { .. })));
+        assert!(matches!(RobustFgn::try_new(f64::NAN, 1.0), Err(FgnError::InvalidHurst { .. })));
+        assert!(matches!(RobustFgn::try_new(0.8, 0.0), Err(FgnError::InvalidVariance { .. })));
         assert!(matches!(
             RobustFgn::try_new(0.8, f64::INFINITY),
             Err(FgnError::InvalidVariance { .. })
@@ -165,10 +152,7 @@ mod tests {
         let g = RobustFgn::try_new(0.8, 1.0).unwrap();
         let r = g.generate_from_acvf(&gamma, 100, 5);
         assert_eq!(r.engine, FgnEngine::HoskingFallback);
-        assert!(matches!(
-            r.fallback_reason,
-            Some(FgnError::NonPsdEmbedding { .. })
-        ));
+        assert!(matches!(r.fallback_reason, Some(FgnError::NonPsdEmbedding { .. })));
         assert_eq!(r.series.len(), 100);
         assert!(r.series.iter().all(|v| v.is_finite()));
     }

@@ -216,12 +216,7 @@ impl FgnStream {
 
     /// Fallible [`new`](Self::new); see [`SourceModel::spectrum`] for
     /// every refusal.
-    pub fn try_new(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
+    pub fn try_new(hurst: f64, variance: f64, block: usize, seed: u64) -> Result<Self, FgnError> {
         BatchStream::try_new(SourceModel::Fgn { hurst }, variance, block, None, &[seed]).map(Self)
     }
 
@@ -270,12 +265,7 @@ impl FarimaStream {
     /// Prefix-exact stream: the first `block` samples are bit-identical
     /// to [`farima_via_circulant`]`(hurst, variance, block, seed)`.
     /// `H ∈ [0.5, 1)` as for [`crate::Hosking`].
-    pub fn try_new(
-        hurst: f64,
-        variance: f64,
-        block: usize,
-        seed: u64,
-    ) -> Result<Self, FgnError> {
+    pub fn try_new(hurst: f64, variance: f64, block: usize, seed: u64) -> Result<Self, FgnError> {
         let model = SourceModel::Farima { hurst };
         BatchStream::try_new(model, variance, block, None, &[seed]).map(Self)
     }
@@ -344,8 +334,7 @@ mod tests {
         let g = DaviesHarte::new(0.8, 2.5);
         for block in [2usize, 7, 64, 500, 1025] {
             let batch = g.generate(block, 42);
-            let streamed: Vec<f64> =
-                FgnStream::new(0.8, 2.5, block, 42).take(block).collect();
+            let streamed: Vec<f64> = FgnStream::new(0.8, 2.5, block, 42).take(block).collect();
             assert_eq!(streamed, batch, "block {block}");
         }
     }
@@ -409,10 +398,8 @@ mod tests {
     fn farima_stream_prefix_matches_circulant_batch() {
         for block in [2usize, 33, 700] {
             let batch = farima_via_circulant(0.8, 1.0, block, 5).unwrap();
-            let streamed: Vec<f64> = FarimaStream::try_new(0.8, 1.0, block, 5)
-                .unwrap()
-                .take(block)
-                .collect();
+            let streamed: Vec<f64> =
+                FarimaStream::try_new(0.8, 1.0, block, 5).unwrap().take(block).collect();
             assert_eq!(streamed, batch, "block {block}");
         }
     }
@@ -432,10 +419,7 @@ mod tests {
 
     #[test]
     fn invalid_parameters_are_typed_errors() {
-        assert!(matches!(
-            FgnStream::try_new(1.2, 1.0, 64, 0),
-            Err(FgnError::InvalidHurst { .. })
-        ));
+        assert!(matches!(FgnStream::try_new(1.2, 1.0, 64, 0), Err(FgnError::InvalidHurst { .. })));
         assert!(matches!(
             FgnStream::try_new(0.8, -1.0, 64, 0),
             Err(FgnError::InvalidVariance { .. })

@@ -197,10 +197,7 @@ mod tests {
         let m = TraceReplay::new(vec![1.0, 2.0, 3.0]);
         let snap = m.snapshot(0);
         let mut other = TraceReplay::new(vec![4.0, 5.0]);
-        assert!(matches!(
-            other.restore(&snap),
-            Err(SnapshotError::ParamHashMismatch { .. })
-        ));
+        assert!(matches!(other.restore(&snap), Err(SnapshotError::ParamHashMismatch { .. })));
         // And the failed restore left the target untouched.
         assert_eq!(other.sample_series(2), vec![4.0, 5.0]);
     }

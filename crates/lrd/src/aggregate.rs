@@ -9,9 +9,7 @@
 pub fn aggregate(xs: &[f64], m: usize) -> Vec<f64> {
     assert!(m > 0, "block size must be positive");
     let blocks = xs.len() / m;
-    (0..blocks)
-        .map(|b| xs[b * m..(b + 1) * m].iter().sum::<f64>() / m as f64)
-        .collect()
+    (0..blocks).map(|b| xs[b * m..(b + 1) * m].iter().sum::<f64>() / m as f64).collect()
 }
 
 /// A log-spaced grid of block sizes from 1 to `max_m` with roughly
@@ -55,9 +53,8 @@ mod tests {
 
     #[test]
     fn variance_non_increasing() {
-        let xs: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64)
-            .collect();
+        let xs: Vec<f64> =
+            (0..10_000).map(|i| ((i * 2654435761u64 as usize) % 1000) as f64).collect();
         let var = |v: &[f64]| {
             let m = v.iter().sum::<f64>() / v.len() as f64;
             v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / v.len() as f64

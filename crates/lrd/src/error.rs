@@ -26,10 +26,9 @@ impl fmt::Display for LrdError {
         match self {
             LrdError::Data(e) => e.fmt(f),
             LrdError::Numeric(e) => e.fmt(f),
-            LrdError::GridTooSmall { got, needed } => write!(
-                f,
-                "lag grid too small: {got} usable fit points, need {needed}"
-            ),
+            LrdError::GridTooSmall { got, needed } => {
+                write!(f, "lag grid too small: {got} usable fit points, need {needed}")
+            }
         }
     }
 }

@@ -48,6 +48,6 @@ pub use wavelet::{
 };
 pub use whittle::{
     try_whittle, try_whittle_log, try_whittle_with, whittle, whittle_aggregated,
-    whittle_aggregated_with, whittle_log, whittle_objective_direct, whittle_with,
-    SpectralModel, WhittleEstimate, WhittleObjective,
+    whittle_aggregated_with, whittle_log, whittle_objective_direct, whittle_with, SpectralModel,
+    WhittleEstimate, WhittleObjective,
 };

@@ -68,10 +68,7 @@ pub fn local_whittle(xs: &[f64], m: Option<usize>) -> LocalWhittleEstimate {
 /// Fallible [`local_whittle`]: rejects short, non-finite or constant
 /// series and reports a boundary-stuck optimisation instead of returning
 /// the untrustworthy endpoint value.
-pub fn try_local_whittle(
-    xs: &[f64],
-    m: Option<usize>,
-) -> Result<LocalWhittleEstimate, LrdError> {
+pub fn try_local_whittle(xs: &[f64], m: Option<usize>) -> Result<LocalWhittleEstimate, LrdError> {
     let (est, boundary) = local_whittle_core(xs, m)?;
     if boundary {
         return Err(NumericError::NotConverged { what: "local Whittle optimisation" }.into());
@@ -90,9 +87,7 @@ fn local_whittle_core(
     check_all_finite(xs)?;
     check_non_constant(xs)?;
     let pg = Periodogram::compute(xs);
-    let m = m
-        .unwrap_or_else(|| (n as f64).powf(0.65) as usize)
-        .clamp(8, pg.len());
+    let m = m.unwrap_or_else(|| (n as f64).powf(0.65) as usize).clamp(8, pg.len());
     let freqs = &pg.freqs()[..m];
     let power = &pg.power()[..m];
     let obj = Objective::new(freqs, power);
@@ -130,14 +125,7 @@ fn local_whittle_core(
     // end is a domain violation, not an estimate — flagged for the
     // fallible path.
     let boundary = hurst <= 0.01 + 1e-4 || hurst >= 0.999 - 1e-4;
-    Ok((
-        LocalWhittleEstimate {
-            hurst,
-            std_err: 0.5 / (m as f64).sqrt(),
-            m,
-        },
-        boundary,
-    ))
+    Ok((LocalWhittleEstimate { hurst, std_err: 0.5 / (m as f64).sqrt(), m }, boundary))
 }
 
 #[cfg(test)]

@@ -110,9 +110,7 @@ impl HurstReport {
     /// True when every point estimate falls inside the Whittle CI — the
     /// consistency statement the paper makes about Table 3.
     pub fn mutually_consistent(&self) -> bool {
-        self.estimates()
-            .iter()
-            .all(|&(_, h)| h >= self.whittle.ci_lo && h <= self.whittle.ci_hi)
+        self.estimates().iter().all(|&(_, h)| h >= self.whittle.ci_lo && h <= self.whittle.ci_hi)
     }
 }
 
@@ -133,31 +131,22 @@ mod tests {
         for (name, est) in rep.estimates() {
             // Finite-sample noise differs per method; the paper's own
             // spread for one trace is 0.78–0.83.
-            assert!(
-                (est - h).abs() < 0.13,
-                "{name}: estimated {est}, truth {h}"
-            );
+            assert!((est - h).abs() < 0.13, "{name}: estimated {est}, truth {h}");
         }
     }
 
     #[test]
     fn varied_range_is_ordered() {
-        let xs: Vec<f64> = DaviesHarte::new(0.75, 1.0)
-            .generate(80_000, 18)
-            .iter()
-            .map(|&v| v + 10.0)
-            .collect();
+        let xs: Vec<f64> =
+            DaviesHarte::new(0.75, 1.0).generate(80_000, 18).iter().map(|&v| v + 10.0).collect();
         let rep = hurst_report(&xs, &ReportOptions::default());
         assert!(rep.rs_varied_range.0 <= rep.rs_varied_range.1);
     }
 
     #[test]
     fn sweep_has_growing_cis() {
-        let xs: Vec<f64> = DaviesHarte::new(0.8, 1.0)
-            .generate(100_000, 19)
-            .iter()
-            .map(|&v| v + 10.0)
-            .collect();
+        let xs: Vec<f64> =
+            DaviesHarte::new(0.8, 1.0).generate(100_000, 19).iter().map(|&v| v + 10.0).collect();
         let rep = hurst_report(&xs, &ReportOptions::default());
         let errs: Vec<f64> = rep.whittle_sweep.iter().map(|(_, e)| e.std_err).collect();
         assert!(errs.windows(2).all(|w| w[1] >= w[0]));

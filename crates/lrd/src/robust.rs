@@ -212,8 +212,7 @@ pub fn robust_hurst_with(xs: &[f64], opts: &RobustOptions) -> Result<RobustHurst
             }
             Ok(h) => {
                 let e: LrdError =
-                    vbr_stats::error::NumericError::NotConverged { what: "Hurst estimate" }
-                        .into();
+                    vbr_stats::error::NumericError::NotConverged { what: "Hurst estimate" }.into();
                 failures.push((kind, e));
                 // The rejected value itself is kept: "R/S said 2.7" is
                 // the diagnostic, not just "R/S failed".
@@ -317,14 +316,8 @@ mod tests {
 
     #[test]
     fn rejects_hopeless_input_with_typed_errors() {
-        assert!(matches!(
-            robust_hurst(&[]),
-            Err(LrdError::Data(DataError::Empty))
-        ));
-        assert!(matches!(
-            robust_hurst(&[1.0; 8]),
-            Err(LrdError::Data(DataError::TooShort { .. }))
-        ));
+        assert!(matches!(robust_hurst(&[]), Err(LrdError::Data(DataError::Empty))));
+        assert!(matches!(robust_hurst(&[1.0; 8]), Err(LrdError::Data(DataError::TooShort { .. }))));
         assert!(matches!(
             robust_hurst(&[3.25; 5_000]),
             Err(LrdError::Data(DataError::ZeroVariance))
@@ -344,8 +337,7 @@ mod tests {
         // large — in both cases the diagnostic must not report agreement
         // at a tight tolerance with full participation.
         let mut rng = Xoshiro256::seed_from_u64(3);
-        let xs: Vec<f64> =
-            (0..16_384).map(|i| i as f64 * 0.01 + rng.standard_normal()).collect();
+        let xs: Vec<f64> = (0..16_384).map(|i| i as f64 * 0.01 + rng.standard_normal()).collect();
         let r = robust_hurst(&xs).unwrap();
         assert!(
             r.estimates.len() < 4 || !r.agrees_within(0.02),
@@ -386,10 +378,7 @@ mod tests {
         let whittle = &r.attempts[0];
         assert!(!whittle.accepted());
         assert!(whittle.hurst.is_none());
-        assert!(matches!(
-            whittle.error,
-            Some(LrdError::Data(DataError::TooShort { .. }))
-        ));
+        assert!(matches!(whittle.error, Some(LrdError::Data(DataError::TooShort { .. }))));
         // Accepted members of the attempt log and `estimates` agree bit
         // for bit.
         let accepted: Vec<(EstimatorKind, f64)> = r

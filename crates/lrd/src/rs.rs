@@ -104,31 +104,29 @@ pub fn try_rs_analysis(xs: &[f64], opts: &RsOptions) -> Result<RsAnalysis, LrdEr
     // pool and flatten in grid order, so the pox diagram and the fit
     // vectors come out identical to the serial sweep.
     type LagResult = (Vec<(usize, f64)>, Option<(f64, f64)>);
-    let per_lag: Vec<LagResult> =
-        vbr_stats::par::par_map(&grid, |&lag| {
-            let starts = opts.starts_per_lag.max(1);
-            let span = n - lag;
-            let mut lag_points = Vec::with_capacity(starts);
-            let mut lag_vals = Vec::with_capacity(starts);
-            for i in 0..starts {
-                let t = if starts == 1 { 0 } else { span * i / (starts - 1).max(1) };
-                if let Some(rs) = rs_statistic(&xs[t..t + lag]) {
-                    if rs > 0.0 {
-                        lag_points.push((lag, rs));
-                        lag_vals.push(rs);
-                    }
+    let per_lag: Vec<LagResult> = vbr_stats::par::par_map(&grid, |&lag| {
+        let starts = opts.starts_per_lag.max(1);
+        let span = n - lag;
+        let mut lag_points = Vec::with_capacity(starts);
+        let mut lag_vals = Vec::with_capacity(starts);
+        for i in 0..starts {
+            let t = if starts == 1 { 0 } else { span * i / (starts - 1).max(1) };
+            if let Some(rs) = rs_statistic(&xs[t..t + lag]) {
+                if rs > 0.0 {
+                    lag_points.push((lag, rs));
+                    lag_vals.push(rs);
                 }
             }
-            let fit_point = if !lag_vals.is_empty() && lag >= opts.fit_min_lag {
-                // Fit through the mean of ln(R/S) at each lag.
-                let mean_ln =
-                    lag_vals.iter().map(|v| v.ln()).sum::<f64>() / lag_vals.len() as f64;
-                Some(((lag as f64).ln(), mean_ln))
-            } else {
-                None
-            };
-            (lag_points, fit_point)
-        });
+        }
+        let fit_point = if !lag_vals.is_empty() && lag >= opts.fit_min_lag {
+            // Fit through the mean of ln(R/S) at each lag.
+            let mean_ln = lag_vals.iter().map(|v| v.ln()).sum::<f64>() / lag_vals.len() as f64;
+            Some(((lag as f64).ln(), mean_ln))
+        } else {
+            None
+        };
+        (lag_points, fit_point)
+    });
 
     let mut points = Vec::new();
     let mut fit_x = Vec::new();
@@ -170,11 +168,8 @@ pub fn rs_varied(xs: &[f64], base: &RsOptions) -> Vec<f64> {
     variations
         .iter()
         .map(|&(ppd, spl)| {
-            let opts = RsOptions {
-                points_per_decade: ppd.max(2),
-                starts_per_lag: spl.max(1),
-                ..*base
-            };
+            let opts =
+                RsOptions { points_per_decade: ppd.max(2), starts_per_lag: spl.max(1), ..*base };
             rs_analysis(xs, &opts).hurst
         })
         .collect()

@@ -123,11 +123,7 @@ mod tests {
         for &h in &[0.7, 0.8, 0.9] {
             let xs = DaviesHarte::new(h, 1.0).generate(200_000, 42);
             let vt = variance_time(&xs, &VtOptions::default());
-            assert!(
-                (vt.hurst - h).abs() < 0.05,
-                "H = {h}: estimated {}",
-                vt.hurst
-            );
+            assert!((vt.hurst - h).abs() < 0.05, "H = {h}: estimated {}", vt.hurst);
         }
     }
 
@@ -154,10 +150,7 @@ mod tests {
             x = 0.7 * x + rng.standard_normal();
             xs.push(x);
         }
-        let vt = variance_time(
-            &xs,
-            &VtOptions { fit_min_m: 100, ..VtOptions::default() },
-        );
+        let vt = variance_time(&xs, &VtOptions { fit_min_m: 100, ..VtOptions::default() });
         assert!((vt.beta - 1.0).abs() < 0.15, "beta {}", vt.beta);
     }
 

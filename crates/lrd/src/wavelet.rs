@@ -127,11 +127,7 @@ pub fn logscale_diagram(xs: &[f64]) -> LogscaleDiagram {
 ///
 /// Panics when the octave range holds fewer than three usable octaves;
 /// [`try_wavelet_hurst`] is the fallible variant.
-pub fn wavelet_hurst(
-    xs: &[f64],
-    j_min: Option<usize>,
-    j_max: Option<usize>,
-) -> WaveletEstimate {
+pub fn wavelet_hurst(xs: &[f64], j_min: Option<usize>, j_max: Option<usize>) -> WaveletEstimate {
     wavelet_hurst_with(xs, &WaveletOptions { j_min, j_max, ..WaveletOptions::default() })
 }
 
@@ -153,10 +149,7 @@ pub fn wavelet_hurst_with(xs: &[f64], opts: &WaveletOptions) -> WaveletEstimate 
 /// (the length that *would* reach octave `j_min + 2` with ≥ 8
 /// coefficients), so [`crate::robust_hurst`] can fall through to the
 /// small-sample estimators instead of panicking.
-pub fn try_wavelet_hurst(
-    xs: &[f64],
-    opts: &WaveletOptions,
-) -> Result<WaveletEstimate, LrdError> {
+pub fn try_wavelet_hurst(xs: &[f64], opts: &WaveletOptions) -> Result<WaveletEstimate, LrdError> {
     let j_min = opts.j_min.unwrap_or(DEFAULT_J_MIN);
     let j_hi = opts.j_max.unwrap_or(usize::MAX);
     // Three octaves in [j_min, j_hi] with ≥ 8 detail coefficients each
@@ -169,12 +162,7 @@ pub fn try_wavelet_hurst(
     let mut js = Vec::new();
     let mut ys = Vec::new();
     let mut ws = Vec::new();
-    for ((&j, &v), &c) in diagram
-        .octaves
-        .iter()
-        .zip(&diagram.log2_variance)
-        .zip(&diagram.counts)
-    {
+    for ((&j, &v), &c) in diagram.octaves.iter().zip(&diagram.log2_variance).zip(&diagram.counts) {
         if j < j_min || j > j_hi || c < 8 {
             continue;
         }
@@ -198,11 +186,7 @@ pub fn try_wavelet_hurst(
     if js.len() < 3 {
         return Err(DataError::TooShort { needed, got: xs.len() }.into());
     }
-    let fit = if opts.weighted {
-        fit_line_weighted(&js, &ys, &ws)
-    } else {
-        fit_line(&js, &ys)
-    };
+    let fit = if opts.weighted { fit_line_weighted(&js, &ys, &ws) } else { fit_line(&js, &ys) };
     Ok(WaveletEstimate { hurst: (fit.slope + 1.0) / 2.0, fit, diagram })
 }
 
@@ -247,9 +231,7 @@ mod tests {
         // the fine-to-middle octaves here.)
         let mut rng = Xoshiro256::seed_from_u64(3);
         let n = 65_536;
-        let xs: Vec<f64> = (0..n)
-            .map(|i| rng.standard_normal() + i as f64 * 1e-4)
-            .collect();
+        let xs: Vec<f64> = (0..n).map(|i| rng.standard_normal() + i as f64 * 1e-4).collect();
         let est = wavelet_hurst(&xs, Some(1), Some(8));
         assert!(
             (est.hurst - 0.5).abs() < 0.08,

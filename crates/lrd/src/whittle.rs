@@ -11,7 +11,9 @@
 
 use crate::aggregate::aggregate;
 use crate::error::LrdError;
-use vbr_stats::error::{check_all_finite, check_all_positive, check_min_len, check_non_constant, NumericError};
+use vbr_stats::error::{
+    check_all_finite, check_all_positive, check_min_len, check_non_constant, NumericError,
+};
 use vbr_stats::periodogram::Periodogram;
 
 /// A Whittle estimate with its 95 % confidence interval.
@@ -134,10 +136,8 @@ impl WhittleObjective {
         };
         match model {
             SpectralModel::Farima => {
-                obj.ln_two_sin_half = freqs
-                    .iter()
-                    .map(|&w| (2.0 * (w / 2.0).sin()).abs().ln())
-                    .collect();
+                obj.ln_two_sin_half =
+                    freqs.iter().map(|&w| (2.0 * (w / 2.0).sin()).abs().ln()).collect();
                 obj.sum_ln_two_sin_half = obj.ln_two_sin_half.iter().sum();
             }
             SpectralModel::Fgn => {
@@ -183,9 +183,7 @@ impl WhittleObjective {
                 let mut ratio_sum = 0.0;
                 let mut log_sum = 0.0;
                 let stride = 1 + 2 * J;
-                for (k, (&i, &omc)) in
-                    self.power.iter().zip(&self.one_minus_cos).enumerate()
-                {
+                for (k, (&i, &omc)) in self.power.iter().zip(&self.one_minus_cos).enumerate() {
                     let terms = &self.ln_terms[k * stride..(k + 1) * stride];
                     let mut b = 0.0;
                     for &ln_t in &terms[1..] {
@@ -245,10 +243,7 @@ pub fn try_whittle_with(xs: &[f64], model: SpectralModel) -> Result<WhittleEstim
 /// Shared search: input checks are typed errors; a boundary-stuck optimum
 /// is reported as a flag so the panicking wrappers can keep the legacy
 /// behaviour of returning the clamped endpoint estimate.
-fn whittle_core(
-    xs: &[f64],
-    model: SpectralModel,
-) -> Result<(WhittleEstimate, bool), LrdError> {
+fn whittle_core(xs: &[f64], model: SpectralModel) -> Result<(WhittleEstimate, bool), LrdError> {
     let n = xs.len();
     check_min_len(xs, 128)?;
     check_all_finite(xs)?;
@@ -454,11 +449,7 @@ mod tests {
         let sweep = whittle_aggregated(&xs, &[1, 4, 16, 64]);
         assert_eq!(sweep.len(), 4);
         for (m, est) in &sweep {
-            assert!(
-                (est.hurst - h).abs() < 0.1,
-                "m = {m}: estimated {}",
-                est.hurst
-            );
+            assert!((est.hurst - h).abs() < 0.1, "m = {m}: estimated {}", est.hurst);
         }
         // CI widens as aggregation shortens the series.
         assert!(sweep[3].1.std_err > sweep[0].1.std_err);

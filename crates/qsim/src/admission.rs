@@ -66,10 +66,7 @@ pub fn admit_by_simulation(
         let sim = MuxSim::new(trace, 1, seed);
         sim.mean_rate()
     };
-    AdmissionResult {
-        max_sources: lo,
-        utilization: lo as f64 * mean_per_src / capacity_bps,
-    }
+    AdmissionResult { max_sources: lo, utilization: lo as f64 * mean_per_src / capacity_bps }
 }
 
 /// Norros effective-bandwidth admission: the largest `N` whose aggregate
@@ -149,15 +146,8 @@ mod tests {
         let t = test_trace();
         let mean = t.mean_bandwidth_bps() / 8.0;
         let cap = mean * 5.0;
-        let r = admit_by_simulation(
-            &t,
-            cap,
-            0.002,
-            LossTarget::Rate(1e-4),
-            LossMetric::Overall,
-            32,
-            2,
-        );
+        let r =
+            admit_by_simulation(&t, cap, 0.002, LossTarget::Rate(1e-4), LossMetric::Overall, 32, 2);
         let n = r.max_sources;
         assert!(n >= 1);
         let ok = MuxSim::new(&t, n, 2 + n as u64).run(cap, 0.002 * cap);
@@ -173,10 +163,22 @@ mod tests {
         let t = test_trace();
         let mean = t.mean_bandwidth_bps() / 8.0;
         let small = admit_by_simulation(
-            &t, mean * 2.5, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 64, 3,
+            &t,
+            mean * 2.5,
+            0.002,
+            LossTarget::Rate(1e-3),
+            LossMetric::Overall,
+            64,
+            3,
         );
         let big = admit_by_simulation(
-            &t, mean * 10.0, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 64, 3,
+            &t,
+            mean * 10.0,
+            0.002,
+            LossTarget::Rate(1e-3),
+            LossMetric::Overall,
+            64,
+            3,
         );
         assert!(
             big.utilization > small.utilization,
@@ -196,9 +198,8 @@ mod tests {
         let cap = m * 8.0;
         let buf = 0.002 * cap;
         let norros = admit_by_norros(m, a, 0.8, cap, buf, 1e-3, 64);
-        let sim = admit_by_simulation(
-            &t, cap, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 64, 4,
-        );
+        let sim =
+            admit_by_simulation(&t, cap, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 64, 4);
         assert!(norros.max_sources >= 1);
         let ratio = norros.max_sources as f64 / sim.max_sources.max(1) as f64;
         assert!(
@@ -221,7 +222,13 @@ mod tests {
         let t = test_trace();
         let mean = t.mean_bandwidth_bps() / 8.0;
         let r = admit_by_simulation(
-            &t, mean * 0.8, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 8, 5,
+            &t,
+            mean * 0.8,
+            0.002,
+            LossTarget::Rate(1e-3),
+            LossMetric::Overall,
+            8,
+            5,
         );
         assert_eq!(r.max_sources, 0);
     }

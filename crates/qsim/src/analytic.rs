@@ -50,7 +50,12 @@ pub fn norros_capacity(
 /// `a = Var(X) · Δt^{2−2H} / mean-rate` where `X` is bytes per interval
 /// of length `Δt` (so that `Var[A(0,Δt)] = a·m·Δt^{2H}` holds at the
 /// measurement scale).
-pub fn fbm_variance_coef(mean_per_interval: f64, var_per_interval: f64, dt: f64, hurst: f64) -> f64 {
+pub fn fbm_variance_coef(
+    mean_per_interval: f64,
+    var_per_interval: f64,
+    dt: f64,
+    hurst: f64,
+) -> f64 {
     assert!(mean_per_interval > 0.0 && dt > 0.0);
     let mean_rate = mean_per_interval / dt;
     var_per_interval / (mean_rate * dt.powf(2.0 * hurst))
@@ -91,10 +96,7 @@ mod tests {
         // average as ρ/2 of a cell: arrivals see Lq + ρ/2 (PASTA).
         let measured = occ_sum / n as f64 - 1.0; // subtract the just-added cell
         let want = md1_mean_queue(rho) + rho / 2.0;
-        assert!(
-            (measured - want).abs() < 0.1 * want,
-            "measured {measured} vs M/D/1 {want}"
-        );
+        assert!((measured - want).abs() < 0.1 * want, "measured {measured} vs M/D/1 {want}");
     }
 
     #[test]
@@ -116,10 +118,14 @@ mod tests {
         // For SRD-ish H the capacity falls fast with buffer; for H → 1 the
         // buffer barely helps — the paper's core warning, in closed form.
         let gain = |h: f64| {
-            norros_capacity(1e6, 100.0, h, 1e3, 1e-6)
-                / norros_capacity(1e6, 100.0, h, 1e6, 1e-6)
+            norros_capacity(1e6, 100.0, h, 1e3, 1e-6) / norros_capacity(1e6, 100.0, h, 1e6, 1e-6)
         };
-        assert!(gain(0.55) > gain(0.9), "buffer gain: H=0.55 {} vs H=0.9 {}", gain(0.55), gain(0.9));
+        assert!(
+            gain(0.55) > gain(0.9),
+            "buffer gain: H=0.55 {} vs H=0.9 {}",
+            gain(0.55),
+            gain(0.9)
+        );
     }
 
     #[test]

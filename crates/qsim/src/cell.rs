@@ -197,14 +197,7 @@ mod tests {
     fn no_loss_at_generous_capacity() {
         let t = test_trace();
         let mean_bps = t.mean_bandwidth_bps() / 8.0;
-        let r = simulate_cells(
-            &t,
-            &[0],
-            mean_bps * 4.0,
-            100_000.0,
-            CellSpacing::Uniform,
-            1,
-        );
+        let r = simulate_cells(&t, &[0], mean_bps * 4.0, 100_000.0, CellSpacing::Uniform, 1);
         assert_eq!(r.cells_lost, 0);
         assert!(r.cells_arrived > 100_000);
     }

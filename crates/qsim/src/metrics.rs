@@ -59,10 +59,7 @@ impl SimResult {
     /// Delay statistics from the backlog record, given the service
     /// capacity. Panics if the run did not record backlogs.
     pub fn delay_stats(&self, capacity_bps: f64) -> DelayStats {
-        assert!(
-            !self.backlog_per_slot.is_empty(),
-            "this run did not record backlogs"
-        );
+        assert!(!self.backlog_per_slot.is_empty(), "this run did not record backlogs");
         assert!(capacity_bps > 0.0);
         let mut delays: Vec<f64> =
             self.backlog_per_slot.iter().map(|&b| b / capacity_bps).collect();
@@ -125,11 +122,7 @@ mod tests {
     fn worst_second_exceeds_overall() {
         // dt = 0.5 s → 2 slots per second. Second #1 loses 50 %, second #2
         // loses nothing.
-        let r = SimResult::new(
-            vec![10.0, 0.0, 0.0, 0.0],
-            vec![10.0, 10.0, 10.0, 10.0],
-            0.5,
-        );
+        let r = SimResult::new(vec![10.0, 0.0, 0.0, 0.0], vec![10.0, 10.0, 10.0, 10.0], 0.5);
         assert!((r.loss_rate - 0.25).abs() < 1e-12);
         assert!((r.worst_second_loss - 0.5).abs() < 1e-12);
         assert!(r.worst_second_loss >= r.loss_rate);

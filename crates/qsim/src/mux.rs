@@ -55,9 +55,7 @@ pub fn lag_combinations(
 ) -> Vec<LagCombination> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let count = if n_sources > 2 { 6 } else { 1 };
-    (0..count)
-        .map(|_| draw_offsets(n_sources, frames, min_sep, &mut rng))
-        .collect()
+    (0..count).map(|_| draw_offsets(n_sources, frames, min_sep, &mut rng)).collect()
 }
 
 /// Sums `n` offset copies of the trace at slice granularity, wrapping
@@ -156,10 +154,7 @@ impl<'a> ArrivalCursor<'a> {
         // Tripwire (debug builds): the aggregate is a sum of u32
         // conversions so it can only go non-finite if enough sources
         // overflow the f64 range — silent today, loud here.
-        debug_assert!(
-            out.iter().all(|v| v.is_finite()),
-            "non-finite aggregate at the mux seam"
-        );
+        debug_assert!(out.iter().all(|v| v.is_finite()), "non-finite aggregate at the mux seam");
         take
     }
 
@@ -177,10 +172,7 @@ impl<'a> ArrivalCursor<'a> {
     /// itself is *not* serialized — the restore target re-borrows it
     /// and the snapshot's parameter hash guards against a swap.
     pub fn export_state(&self) -> CursorState {
-        CursorState {
-            cursors: self.cursors.clone(),
-            emitted: self.emitted,
-        }
+        CursorState { cursors: self.cursors.clone(), emitted: self.emitted }
     }
 
     /// Grafts a previously exported state onto this cursor. Validated
@@ -278,10 +270,7 @@ pub fn aggregate_arrivals_multi(traces: &[&Trace], offsets_frames: &[usize]) -> 
     let dt = traces[0].slice_duration();
     for t in traces {
         assert_eq!(t.slices_per_frame(), spf, "mixed slice geometry");
-        assert!(
-            (t.slice_duration() - dt).abs() < 1e-12,
-            "mixed slice durations"
-        );
+        assert!((t.slice_duration() - dt).abs() < 1e-12, "mixed slice durations");
     }
     let out_len = traces.iter().map(|t| t.slice_bytes().len()).max().unwrap();
     let mut out = vec![0.0f64; out_len];
@@ -374,7 +363,7 @@ mod tests {
         assert_eq!(agg[0], 10.0 + 3.0);
         assert_eq!(agg[5], 10.0 + 8.0);
         assert_eq!(agg[6], 10.0 + 1.0); // b wrapped
-        // Totals: 2 copies of a's 40 bytes + one pass of b's 36.
+                                        // Totals: 2 copies of a's 40 bytes + one pass of b's 36.
         let total: f64 = agg.iter().sum();
         assert_eq!(total, 80.0 + 36.0);
     }
@@ -445,9 +434,9 @@ mod tests {
         let mut c = ArrivalCursor::new(&t, &lags);
         let good = c.export_state();
         for bad in [
-            CursorState { cursors: vec![0], emitted: 0 },          // source count
-            CursorState { cursors: vec![0, 99], emitted: 0 },      // out of bounds
-            CursorState { cursors: vec![0, 4], emitted: 13 },      // emitted > n
+            CursorState { cursors: vec![0], emitted: 0 }, // source count
+            CursorState { cursors: vec![0, 99], emitted: 0 }, // out of bounds
+            CursorState { cursors: vec![0, 4], emitted: 13 }, // emitted > n
         ] {
             assert!(c.restore_state(&bad).is_err(), "accepted {bad:?}");
             assert_eq!(c.export_state(), good);

@@ -32,8 +32,7 @@ impl FluidQueue {
     pub fn new(buffer_bytes: f64, capacity_bps: f64) -> Self {
         assert!(buffer_bytes >= 0.0, "buffer must be non-negative");
         assert!(capacity_bps > 0.0, "capacity must be positive");
-        Self::try_new(buffer_bytes, capacity_bps)
-            .unwrap_or_else(|e| panic!("FluidQueue::new: {e}"))
+        Self::try_new(buffer_bytes, capacity_bps).unwrap_or_else(|e| panic!("FluidQueue::new: {e}"))
     }
 
     /// Fallible [`new`](Self::new): rejects a negative or non-finite
@@ -373,7 +372,9 @@ mod tests {
     #[test]
     fn step_block_matches_scalar_steps_bitwise() {
         let arrivals: Vec<f64> = (0..1003)
-            .map(|i| ((i as f64 * 0.37).sin().abs() * 120.0) + if i % 13 == 0 { 400.0 } else { 0.0 })
+            .map(|i| {
+                ((i as f64 * 0.37).sin().abs() * 120.0) + if i % 13 == 0 { 400.0 } else { 0.0 }
+            })
             .collect();
         let mut scalar = FluidQueue::new(150.0, 60_000.0);
         let mut scalar_loss = 0.0f64;
@@ -431,9 +432,7 @@ mod tests {
 
     #[test]
     fn loss_monotone_in_capacity() {
-        let arrivals: Vec<f64> = (0..5000)
-            .map(|i| if i % 7 == 0 { 300.0 } else { 20.0 })
-            .collect();
+        let arrivals: Vec<f64> = (0..5000).map(|i| if i % 7 == 0 { 300.0 } else { 20.0 }).collect();
         let run = |cap: f64| {
             let mut q = FluidQueue::new(100.0, cap);
             for &a in &arrivals {
@@ -527,9 +526,8 @@ mod tests {
 
     #[test]
     fn loss_monotone_in_buffer() {
-        let arrivals: Vec<f64> = (0..5000)
-            .map(|i| if i % 11 == 0 { 500.0 } else { 10.0 })
-            .collect();
+        let arrivals: Vec<f64> =
+            (0..5000).map(|i| if i % 11 == 0 { 500.0 } else { 10.0 }).collect();
         let run = |buf: f64| {
             let mut q = FluidQueue::new(buf, 40_000.0);
             for &a in &arrivals {

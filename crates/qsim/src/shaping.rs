@@ -29,10 +29,7 @@ pub struct SmoothingResult {
 pub fn smooth_to_cbr(trace: &Trace, rate_bps: f64) -> SmoothingResult {
     let dt = trace.slice_duration();
     let mean = trace.mean_bandwidth_bps() / 8.0;
-    assert!(
-        rate_bps > mean,
-        "CBR rate {rate_bps} must exceed the mean rate {mean}"
-    );
+    assert!(rate_bps > mean, "CBR rate {rate_bps} must exceed the mean rate {mean}");
     let mut backlog = 0.0f64;
     let mut max_backlog = 0.0f64;
     for &b in trace.slice_bytes() {
@@ -53,11 +50,7 @@ pub fn min_cbr_rate(trace: &Trace, max_delay_secs: f64, iterations: usize) -> Sm
     assert!(max_delay_secs > 0.0);
     let dt = trace.slice_duration();
     let mean = trace.mean_bandwidth_bps() / 8.0;
-    let peak = trace
-        .slice_bytes()
-        .iter()
-        .map(|&b| b as f64 / dt)
-        .fold(0.0f64, f64::max);
+    let peak = trace.slice_bytes().iter().map(|&b| b as f64 / dt).fold(0.0f64, f64::max);
     let mut lo = mean * 1.000_001;
     let mut hi = peak.max(lo * 1.001);
     for _ in 0..iterations {

@@ -37,8 +37,7 @@ pub fn smg_curve(
     ns.iter()
         .map(|&n| {
             let sim = MuxSim::new(trace, n, seed.wrapping_add(n as u64));
-            let c = sim.required_capacity(t_max_secs, target, metric, iterations)
-                / n as f64;
+            let c = sim.required_capacity(t_max_secs, target, metric, iterations) / n as f64;
             SmgPoint {
                 n_sources: n,
                 capacity_per_source: c,
@@ -56,15 +55,8 @@ mod tests {
     #[test]
     fn multiplexing_reduces_per_source_capacity() {
         let t = generate_screenplay(&ScreenplayConfig::short(4_000, 21));
-        let pts = smg_curve(
-            &t,
-            &[1, 4, 12],
-            0.002,
-            LossTarget::Rate(1e-3),
-            LossMetric::Overall,
-            20,
-            1,
-        );
+        let pts =
+            smg_curve(&t, &[1, 4, 12], 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 20, 1);
         assert_eq!(pts.len(), 3);
         assert!(
             pts[1].capacity_per_source < pts[0].capacity_per_source,
@@ -81,40 +73,16 @@ mod tests {
     fn single_source_needs_near_peak_for_tiny_loss() {
         // "The capacity is very close to the peak rate for one source."
         let t = generate_screenplay(&ScreenplayConfig::short(4_000, 22));
-        let pts = smg_curve(
-            &t,
-            &[1],
-            0.002,
-            LossTarget::Zero,
-            LossMetric::Overall,
-            22,
-            2,
-        );
+        let pts = smg_curve(&t, &[1], 0.002, LossTarget::Zero, LossMetric::Overall, 22, 2);
         // Gain realised at N = 1 should be small (< 35 %).
-        assert!(
-            pts[0].gain_realized < 0.35,
-            "N=1 realised gain {}",
-            pts[0].gain_realized
-        );
+        assert!(pts[0].gain_realized < 0.35, "N=1 realised gain {}", pts[0].gain_realized);
     }
 
     #[test]
     fn many_sources_approach_mean_rate() {
         let t = generate_screenplay(&ScreenplayConfig::short(4_000, 23));
-        let pts = smg_curve(
-            &t,
-            &[16],
-            0.002,
-            LossTarget::Rate(1e-3),
-            LossMetric::Overall,
-            20,
-            3,
-        );
+        let pts = smg_curve(&t, &[16], 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 20, 3);
         // "drops to very close to the mean rate for 20 sources".
-        assert!(
-            pts[0].gain_realized > 0.6,
-            "N=16 realised gain {}",
-            pts[0].gain_realized
-        );
+        assert!(pts[0].gain_realized > 0.6, "N=16 realised gain {}", pts[0].gain_realized);
     }
 }

@@ -536,8 +536,7 @@ impl Fleet {
             return Err(SnapshotError::Invalid { what: "registry length != fleet sources" });
         }
         let mut ids = HashSet::with_capacity(registry.len());
-        let mut placed: Vec<Vec<bool>> =
-            shards.iter().map(|s| vec![false; s.sources()]).collect();
+        let mut placed: Vec<Vec<bool>> = shards.iter().map(|s| vec![false; s.sources()]).collect();
         for p in &registry {
             let s = p.shard as usize;
             if s >= shards.len() || p.local as usize >= shards[s].sources() {

@@ -78,9 +78,8 @@ impl Shard {
         if let Some(&g) = self.by_key.get(&key) {
             return Ok(g);
         }
-        let (model, variance, block, overlap) = key
-            .params()
-            .ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
+        let (model, variance, block, overlap) =
+            key.params().ok_or(FgnError::InvalidHurst { hurst: f64::NAN, lo: 0.0, hi: 1.0 })?;
         let batch = BatchStream::try_new(model, variance, block, overlap, &[])?;
         self.groups.push(Group { key, batch });
         self.by_key.insert(key, self.groups.len() - 1);
@@ -163,7 +162,10 @@ impl Shard {
     /// is checked to be a bijection onto the sources. Nothing about the
     /// snapshot is trusted — a hostile state yields a typed error, never
     /// a panic or a partial shard.
-    pub(crate) fn restore_from(state: &ShardState, slot_len: usize) -> Result<Shard, SnapshotError> {
+    pub(crate) fn restore_from(
+        state: &ShardState,
+        slot_len: usize,
+    ) -> Result<Shard, SnapshotError> {
         let mut shard = Shard::new(slot_len);
         for gs in &state.groups {
             if shard.by_key.contains_key(&gs.key) {

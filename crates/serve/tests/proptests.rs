@@ -38,8 +38,7 @@ fn run_solo_sum(specs: &[TenantSpec], slot_len: usize, slots: usize) -> Vec<f64>
     let mut agg = vec![0.0f64; n];
     let mut buf = vec![0.0f64; n];
     for s in specs {
-        let mut stream =
-            FgnStream::try_new(s.model.hurst(), s.variance, s.block, s.seed).unwrap();
+        let mut stream = FgnStream::try_new(s.model.hurst(), s.variance, s.block, s.seed).unwrap();
         for c in buf.chunks_mut(s.block) {
             stream.next_block(c);
         }

@@ -51,12 +51,8 @@ pub fn autocorrelation_direct(xs: &[f64], max_lag: usize) -> Vec<f64> {
 pub fn exponential_fit(acf: &[f64], fit_lags: usize) -> f64 {
     let lags: Vec<f64> = (1..=fit_lags.min(acf.len() - 1)).map(|k| k as f64).collect();
     let vals: Vec<f64> = (1..=fit_lags.min(acf.len() - 1)).map(|k| acf[k]).collect();
-    let pairs: (Vec<f64>, Vec<f64>) = lags
-        .iter()
-        .zip(&vals)
-        .filter(|(_, &v)| v > 0.0)
-        .map(|(&l, &v)| (l, v.ln()))
-        .unzip();
+    let pairs: (Vec<f64>, Vec<f64>) =
+        lags.iter().zip(&vals).filter(|(_, &v)| v > 0.0).map(|(&l, &v)| (l, v.ln())).unzip();
     assert!(pairs.0.len() >= 2, "not enough positive ACF values to fit");
     crate::regression::fit_line(&pairs.0, &pairs.1).slope.exp()
 }

@@ -68,13 +68,7 @@ pub fn prefix_mean_cis(
 ) -> Vec<(usize, ConfidenceInterval, ConfidenceInterval)> {
     ns.iter()
         .filter(|&&n| n >= 2 && n <= xs.len())
-        .map(|&n| {
-            (
-                n,
-                mean_ci_iid(&xs[..n], confidence),
-                mean_ci_lrd(&xs[..n], confidence, hurst),
-            )
-        })
+        .map(|&n| (n, mean_ci_iid(&xs[..n], confidence), mean_ci_lrd(&xs[..n], confidence, hurst)))
         .collect()
 }
 

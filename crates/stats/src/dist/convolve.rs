@@ -65,11 +65,7 @@ impl DensityTable {
 
     /// Mean of the tabulated distribution.
     pub fn mean(&self) -> f64 {
-        self.mass
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| m * (self.x0 + (i as f64 + 0.5) * self.dx))
-            .sum()
+        self.mass.iter().enumerate().map(|(i, &m)| m * (self.x0 + (i as f64 + 0.5) * self.dx)).sum()
     }
 
     /// Variance of the tabulated distribution.
@@ -145,8 +141,7 @@ impl DensityTable {
         }
         fft_pow2_in_place(&mut buf, Direction::Inverse);
         let scale = 1.0 / m as f64;
-        let mass: Vec<f64> =
-            buf[..out_len].iter().map(|z| (z.re * scale).max(0.0)).collect();
+        let mass: Vec<f64> = buf[..out_len].iter().map(|z| (z.re * scale).max(0.0)).collect();
         // Cell masses sit at cell *centres* `x0 + (i+½)dx`; the sum of n
         // centres is `n·x0 + n·dx/2 + (Σi)dx`, so the output origin must
         // carry the (n−1) extra half-cells.
@@ -262,10 +257,7 @@ mod tests {
             }
         }
         let rate = over as f64 / trials as f64;
-        assert!(
-            rate < 3e-3 && rate > 1e-4,
-            "exceedance rate {rate} should straddle 1e-3"
-        );
+        assert!(rate < 3e-3 && rate > 1e-4, "exceedance rate {rate} should straddle 1e-3");
     }
 
     #[test]

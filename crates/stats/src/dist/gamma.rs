@@ -192,9 +192,7 @@ impl ContinuousDist for Gamma {
             let v3 = v * v * v;
             let u = open01(rng);
             let x2 = x * x;
-            if u < 1.0 - 0.0331 * x2 * x2
-                || u.ln() < 0.5 * x2 + d * (1.0 - v3 + v3.ln())
-            {
+            if u < 1.0 - 0.0331 * x2 * x2 || u.ln() < 0.5 * x2 + d * (1.0 - v3 + v3.ln()) {
                 return d * v3 * boost / self.rate;
             }
         }
@@ -275,9 +273,7 @@ mod tests {
         for _ in 0..20 {
             let xs = crate::dist::sample_n(&truth, 2_000, &mut rng);
             let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>()
-                / xs.len() as f64)
-                .sqrt();
+            let sd = (xs.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
             mle_err += (Gamma::fit_mle(&xs).shape() - 0.7).abs();
             mom_err += (Gamma::from_moments(mean, sd).shape() - 0.7).abs();
         }

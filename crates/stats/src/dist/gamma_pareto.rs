@@ -160,8 +160,7 @@ impl ContinuousDist for GammaPareto {
         // E[X²]: body via P(s+2, ·); tail: c x_th³ / (a−2).
         let s = self.gamma.shape();
         let l = self.gamma.rate();
-        let ex2_body = (s * (s + 1.0) / (l * l))
-            * crate::special::gamma_p(s + 2.0, l * self.x_th);
+        let ex2_body = (s * (s + 1.0) / (l * l)) * crate::special::gamma_p(s + 2.0, l * self.x_th);
         let ex2_tail = self.pdf_th * self.x_th.powi(3) / (self.tail_slope - 2.0);
         let ex2 = (ex2_body + ex2_tail) / self.norm;
         let m = self.mean();

@@ -88,11 +88,7 @@ impl<D: ContinuousDist + ?Sized> ContinuousDist for &D {
 }
 
 /// Draws `n` samples from a distribution.
-pub fn sample_n<D: ContinuousDist + ?Sized>(
-    dist: &D,
-    n: usize,
-    rng: &mut dyn Rng,
-) -> Vec<f64> {
+pub fn sample_n<D: ContinuousDist + ?Sized>(dist: &D, n: usize, rng: &mut dyn Rng) -> Vec<f64> {
     (0..n).map(|_| dist.sample(rng)).collect()
 }
 
@@ -105,11 +101,7 @@ pub(crate) mod testutil {
         for &p in &[0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
             let x = d.quantile(p);
             let back = d.cdf(x);
-            assert!(
-                (back - p).abs() < tol,
-                "{}: quantile({p}) = {x}, cdf back = {back}",
-                d.name()
-            );
+            assert!((back - p).abs() < tol, "{}: quantile({p}) = {x}, cdf back = {back}", d.name());
         }
     }
 

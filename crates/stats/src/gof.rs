@@ -95,8 +95,7 @@ pub fn chi_square<D: ContinuousDist + ?Sized>(
     assert!(bins >= 2, "need at least 2 bins");
     assert!(xs.len() >= 5 * bins, "need >= 5 observations per bin on average");
     // Equal-probability bin edges from the fitted quantiles.
-    let edges: Vec<f64> =
-        (1..bins).map(|i| dist.quantile(i as f64 / bins as f64)).collect();
+    let edges: Vec<f64> = (1..bins).map(|i| dist.quantile(i as f64 / bins as f64)).collect();
     let mut counts = vec![0u64; bins];
     for &x in xs {
         let idx = edges.partition_point(|&e| e < x);

@@ -37,9 +37,9 @@ pub mod snapshot;
 pub mod special;
 
 pub use acf::{autocorrelation, autocovariance};
-pub use error::{DataError, NumericError, StatsError};
 pub use ci::{mean_ci_iid, mean_ci_lrd, ConfidenceInterval};
 pub use descriptive::{quantile, Moments, TraceSummary};
+pub use error::{DataError, NumericError, StatsError};
 pub use gof::{chi_square, ks_p_value, ks_statistic, ks_two_sample, ks_two_sample_p_value};
 pub use histogram::{Ecdf, Histogram};
 pub use moving_average::{downsample, moving_average, trailing_average};

@@ -57,9 +57,7 @@ pub fn downsample(xs: &[f64], max_points: usize) -> Vec<f64> {
         return xs.to_vec();
     }
     let block = n.div_ceil(max_points);
-    xs.chunks(block)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
+    xs.chunks(block).map(|c| c.iter().sum::<f64>() / c.len() as f64).collect()
 }
 
 #[cfg(test)]
@@ -93,9 +91,7 @@ mod tests {
 
     #[test]
     fn smoothing_reduces_variance() {
-        let xs: Vec<f64> = (0..1000)
-            .map(|i| if i % 2 == 0 { 10.0 } else { -10.0 })
-            .collect();
+        let xs: Vec<f64> = (0..1000).map(|i| if i % 2 == 0 { 10.0 } else { -10.0 }).collect();
         let ma = moving_average(&xs, 20);
         let var: f64 = ma.iter().map(|v| v * v).sum::<f64>() / ma.len() as f64;
         assert!(var < 1.0, "var {var}");

@@ -500,11 +500,7 @@ pub fn uninstall_collector() -> Option<TraceSnapshot> {
 
 /// Copies the current ring contents without uninstalling.
 pub fn snapshot() -> Option<TraceSnapshot> {
-    collector()
-        .lock()
-        .expect("obs collector poisoned")
-        .as_ref()
-        .map(|s| s.ring.snapshot())
+    collector().lock().expect("obs collector poisoned").as_ref().map(|s| s.ring.snapshot())
 }
 
 /// Peak resident set size of this process in KiB (`VmHWM` from
@@ -597,10 +593,8 @@ impl Drop for Span {
         hist_record(Hist::SpanNanos, dur_ns);
         let mut guard = collector().lock().expect("obs collector poisoned");
         if let Some(state) = guard.as_mut() {
-            let start_ns = live
-                .start
-                .checked_duration_since(state.epoch)
-                .map_or(0, |d| d.as_nanos() as u64);
+            let start_ns =
+                live.start.checked_duration_since(state.epoch).map_or(0, |d| d.as_nanos() as u64);
             let rss = sampled_peak_rss_kib(start_ns + dur_ns);
             state.ring.push(SpanRecord {
                 id: live.id,
@@ -675,7 +669,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn render_span(rec: &SpanRecord, children: &[Vec<usize>], recs: &[SpanRecord], out: &mut String, indent: usize) {
+fn render_span(
+    rec: &SpanRecord,
+    children: &[Vec<usize>],
+    recs: &[SpanRecord],
+    out: &mut String,
+    indent: usize,
+) {
     let pad = "  ".repeat(indent);
     let _ = write!(
         out,

@@ -44,9 +44,7 @@ pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n.max(1);
     }
-    if let Some(n) = std::env::var("VBR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
+    if let Some(n) = std::env::var("VBR_THREADS").ok().and_then(|s| s.trim().parse::<usize>().ok())
     {
         return n.max(1);
     }
@@ -100,8 +98,7 @@ pub const MIN_PARALLEL_WORK: usize = 1 << 19;
 /// True when the caller (or environment) pinned an explicit thread
 /// count: an active [`with_threads`] scope or a `VBR_THREADS` setting.
 fn threads_pinned() -> bool {
-    THREAD_OVERRIDE.with(|o| o.get()).is_some()
-        || std::env::var_os("VBR_THREADS").is_some()
+    THREAD_OVERRIDE.with(|o| o.get()).is_some() || std::env::var_os("VBR_THREADS").is_some()
 }
 
 /// [`par_map`] with a caller-supplied estimate of the total work: the
@@ -166,10 +163,7 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join().expect("par_map worker panicked")).collect()
     });
 
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
@@ -179,10 +173,7 @@ where
             slots[i] = Some(v);
         }
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("par_map left an index unprocessed"))
-        .collect()
+    slots.into_iter().map(|s| s.expect("par_map left an index unprocessed")).collect()
 }
 
 /// Runs `f(index, &mut item)` over every element of `items` on the

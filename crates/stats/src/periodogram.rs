@@ -42,9 +42,7 @@ impl Periodogram {
         drop(scratch);
         let half = n / 2;
         let norm = 1.0 / (2.0 * std::f64::consts::PI * n as f64);
-        let freqs = (1..=half)
-            .map(|j| 2.0 * std::f64::consts::PI * j as f64 / n as f64)
-            .collect();
+        let freqs = (1..=half).map(|j| 2.0 * std::f64::consts::PI * j as f64 / n as f64).collect();
         let power = spec[1..=half].iter().map(|z| z.norm_sqr() * norm).collect();
         Periodogram { freqs, power }
     }
@@ -102,12 +100,8 @@ mod tests {
             .map(|i| (2.0 * std::f64::consts::PI * f as f64 * i as f64 / n as f64).sin())
             .collect();
         let p = Periodogram::compute(&xs);
-        let (argmax, _) = p
-            .power()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
+        let (argmax, _) =
+            p.power().iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap();
         // Ordinate j corresponds to frequency index j+1.
         assert_eq!(argmax + 1, f);
     }
@@ -121,11 +115,7 @@ mod tests {
             let m = xs.iter().sum::<f64>() / xs.len() as f64;
             xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
         };
-        assert!(
-            (p.total_power() - var).abs() / var < 0.01,
-            "{} vs {var}",
-            p.total_power()
-        );
+        assert!((p.total_power() - var).abs() / var < 0.01, "{} vs {var}", p.total_power());
     }
 
     #[test]

@@ -50,11 +50,7 @@ pub fn fit_line(xs: &[f64], ys: &[f64]) -> LineFit {
     let intercept = my - slope * mx;
     let ss_res = (syy - slope * sxy).max(0.0);
     let r_squared = if syy > 0.0 { 1.0 - ss_res / syy } else { 1.0 };
-    let slope_std_err = if n > 2 {
-        (ss_res / (nf - 2.0) / sxx).sqrt()
-    } else {
-        0.0
-    };
+    let slope_std_err = if n > 2 { (ss_res / (nf - 2.0) / sxx).sqrt() } else { 0.0 };
     LineFit { slope, intercept, r_squared, slope_std_err, n }
 }
 
@@ -100,11 +96,7 @@ pub fn fit_line_weighted(xs: &[f64], ys: &[f64], ws: &[f64]) -> LineFit {
     let intercept = my - slope * mx;
     let ss_res = (syy - slope * sxy).max(0.0);
     let r_squared = if syy > 0.0 { 1.0 - ss_res / syy } else { 1.0 };
-    let slope_std_err = if used > 2 {
-        (ss_res / (used as f64 - 2.0) / sxx).sqrt()
-    } else {
-        0.0
-    };
+    let slope_std_err = if used > 2 { (ss_res / (used as f64 - 2.0) / sxx).sqrt() } else { 0.0 };
     LineFit { slope, intercept, r_squared, slope_std_err, n: used }
 }
 

@@ -554,10 +554,7 @@ mod tests {
         let r = SnapshotReader::open(&bytes).unwrap();
         assert_eq!(
             r.require_param_hash(1),
-            Err(SnapshotError::ParamHashMismatch {
-                stored: 0xDEAD_BEEF_CAFE_F00D,
-                expected: 1
-            })
+            Err(SnapshotError::ParamHashMismatch { stored: 0xDEAD_BEEF_CAFE_F00D, expected: 1 })
         );
     }
 
@@ -654,10 +651,7 @@ mod tests {
         let c = ParamHasher::new().f64(0.8).u64(1).finish();
         let d = ParamHasher::new().u64(1).f64(0.8).finish();
         assert_ne!(c, d);
-        assert_ne!(
-            ParamHasher::new().f64(0.0).finish(),
-            ParamHasher::new().f64(-0.0).finish()
-        );
+        assert_ne!(ParamHasher::new().f64(0.0).finish(), ParamHasher::new().f64(-0.0).finish());
     }
 
     #[test]

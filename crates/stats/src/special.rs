@@ -54,14 +54,13 @@ pub fn digamma(x: f64) -> f64 {
     // Asymptotic expansion ψ(x) ≈ ln x − 1/(2x) − Σ B_{2k}/(2k x^{2k}).
     let inv = 1.0 / x;
     let inv2 = inv * inv;
-    acc + x.ln() - 0.5 * inv
+    acc + x.ln()
+        - 0.5 * inv
         - inv2
             * (1.0 / 12.0
                 - inv2
                     * (1.0 / 120.0
-                        - inv2
-                            * (1.0 / 252.0
-                                - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0)))))
+                        - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0)))))
 }
 
 /// Trigamma function `ψ₁(x) = d²/dx² ln Γ(x)` — asymptotic series with
@@ -290,8 +289,7 @@ fn ppnd_ratio(r: f64, num: &[f64; 8], den: &[f64; 7]) -> f64 {
 /// with the scalar path.
 #[inline(always)]
 fn horner8(r: f64, num: &[f64; 8]) -> f64 {
-    ((((((num[7] * r + num[6]) * r + num[5]) * r + num[4]) * r + num[3]) * r + num[2]) * r
-        + num[1])
+    ((((((num[7] * r + num[6]) * r + num[5]) * r + num[4]) * r + num[3]) * r + num[2]) * r + num[1])
         * r
         + num[0]
 }
@@ -300,8 +298,7 @@ fn horner8(r: f64, num: &[f64; 8]) -> f64 {
 /// coefficient is an implicit 1).
 #[inline(always)]
 fn horner7_monic(r: f64, den: &[f64; 7]) -> f64 {
-    ((((((den[6] * r + den[5]) * r + den[4]) * r + den[3]) * r + den[2]) * r + den[1]) * r
-        + den[0])
+    ((((((den[6] * r + den[5]) * r + den[4]) * r + den[3]) * r + den[2]) * r + den[1]) * r + den[0])
         * r
         + 1.0
 }
@@ -403,10 +400,7 @@ fn norm_quantile_tail(p: f64, q: f64) -> f64 {
 /// verbatim with the batch kernel [`norm_quantile_slice`], so bulk and
 /// one-at-a-time evaluation are bit-identical.
 pub fn norm_quantile(p: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "norm_quantile requires p in [0,1], got {p}"
-    );
+    assert!((0.0..=1.0).contains(&p), "norm_quantile requires p in [0,1], got {p}");
     if p == 0.0 {
         return f64::NEG_INFINITY;
     }
@@ -543,11 +537,8 @@ fn tail_lanes(ps: &mut [f64], idx: &[usize], orig: &[f64]) {
     for l in 0..LANES {
         // r > 5 means p < e^{−25} ≈ 1.4e-11 — essentially never for
         // uniform draws; recompute those few with the far-tail ratio.
-        let x = if r[l] <= 5.0 {
-            num[l] / den[l]
-        } else {
-            ppnd_ratio(r[l] - 5.0, &PPND_E, &PPND_F)
-        };
+        let x =
+            if r[l] <= 5.0 { num[l] / den[l] } else { ppnd_ratio(r[l] - 5.0, &PPND_E, &PPND_F) };
         ps[idx[l]] = if q[l] < 0.0 { -x } else { x };
     }
 }
@@ -685,9 +676,7 @@ mod digamma_tests {
         // ψ(1) = −γ (Euler–Mascheroni)
         assert!((digamma(1.0) + 0.577_215_664_901_532_9).abs() < 1e-13);
         // ψ(1/2) = −γ − 2 ln 2
-        assert!(
-            (digamma(0.5) + 0.577_215_664_901_532_9 + 2.0 * 2.0f64.ln()).abs() < 1e-12
-        );
+        assert!((digamma(0.5) + 0.577_215_664_901_532_9 + 2.0 * 2.0f64.ln()).abs() < 1e-12);
         // ψ(2) = 1 − γ
         assert!((digamma(2.0) - (1.0 - 0.577_215_664_901_532_9)).abs() < 1e-12);
     }
@@ -695,10 +684,7 @@ mod digamma_tests {
     #[test]
     fn digamma_recurrence() {
         for &x in &[0.3, 1.7, 5.5, 42.0] {
-            assert!(
-                (digamma(x + 1.0) - digamma(x) - 1.0 / x).abs() < 1e-11,
-                "x = {x}"
-            );
+            assert!((digamma(x + 1.0) - digamma(x) - 1.0 / x).abs() < 1e-11, "x = {x}");
         }
     }
 
@@ -725,10 +711,7 @@ mod digamma_tests {
     #[test]
     fn trigamma_recurrence() {
         for &x in &[0.4, 1.3, 6.5, 37.0] {
-            assert!(
-                (trigamma(x + 1.0) - trigamma(x) + 1.0 / (x * x)).abs() < 1e-11,
-                "x = {x}"
-            );
+            assert!((trigamma(x + 1.0) - trigamma(x) + 1.0 / (x * x)).abs() < 1e-11, "x = {x}");
         }
     }
 

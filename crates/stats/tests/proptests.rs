@@ -4,7 +4,10 @@ use proptest::prelude::*;
 use rand::Rng;
 use vbr_stats::dist::{ContinuousDist, Exponential, Gamma, GammaPareto, Lognormal, Normal, Pareto};
 use vbr_stats::rng::Xoshiro256;
-use vbr_stats::{autocorrelation, moving_average, norm_quantile, norm_quantile_slice, quantile, simd, Ecdf, Moments};
+use vbr_stats::{
+    autocorrelation, moving_average, norm_quantile, norm_quantile_slice, quantile, simd, Ecdf,
+    Moments,
+};
 
 /// Probabilities spanning the central branch and both quantile tails
 /// (tail depth down to ~1e-12, exercising both tail branches).

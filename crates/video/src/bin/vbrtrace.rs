@@ -89,9 +89,8 @@ fn main() {
         "clip" => {
             let trace = load(args.get(1).unwrap_or_else(|| usage()));
             let out = args.get(2).unwrap_or_else(|| usage());
-            let max: u32 = flag(&args, "--max")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
+            let max: u32 =
+                flag(&args, "--max").and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             let clipped = trace.clip(max);
             let removed: i64 = trace
                 .slice_bytes()
@@ -99,10 +98,11 @@ fn main() {
                 .zip(clipped.slice_bytes())
                 .map(|(&a, &b)| a as i64 - b as i64)
                 .sum();
-            eprintln!("clipped {} bytes ({:.4}% of the trace)",
+            eprintln!(
+                "clipped {} bytes ({:.4}% of the trace)",
                 removed,
-                100.0 * removed as f64
-                    / trace.slice_bytes().iter().map(|&b| b as f64).sum::<f64>());
+                100.0 * removed as f64 / trace.slice_bytes().iter().map(|&b| b as f64).sum::<f64>()
+            );
             save(&clipped, out);
         }
         "csv" => {
@@ -118,17 +118,12 @@ fn main() {
         "segment" => {
             let trace = load(args.get(1).unwrap_or_else(|| usage()));
             let out = args.get(2).unwrap_or_else(|| usage());
-            let start: usize = flag(&args, "--start")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            let n: usize = flag(&args, "--frames")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
+            let start: usize =
+                flag(&args, "--start").and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+            let n: usize =
+                flag(&args, "--frames").and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             if start + n > trace.frames() {
-                eprintln!(
-                    "segment {start}+{n} exceeds trace length {}",
-                    trace.frames()
-                );
+                eprintln!("segment {start}+{n} exceeds trace length {}", trace.frames());
                 exit(1);
             }
             save(&trace.segment(start, n), out);

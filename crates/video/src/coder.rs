@@ -168,9 +168,7 @@ impl IntraframeCoder {
 /// Maps block rows to `(start, end)` ranges for each slice.
 fn slice_bounds(block_rows: usize, slices: usize) -> Vec<(usize, usize)> {
     let slices = slices.min(block_rows).max(1);
-    (0..slices)
-        .map(|s| (block_rows * s / slices, block_rows * (s + 1) / slices))
-        .collect()
+    (0..slices).map(|s| (block_rows * s / slices, block_rows * (s + 1) / slices)).collect()
 }
 
 /// Iterates slices of a frame, producing the token stream per slice
@@ -229,10 +227,7 @@ mod tests {
 
     fn coder_for(scene: &SceneSynthesizer, w: usize, h: usize) -> IntraframeCoder {
         let training: Vec<Frame> = (0..3).map(|t| scene.frame(t, w, h)).collect();
-        IntraframeCoder::train(
-            CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
-            &training,
-        )
+        IntraframeCoder::train(CoderConfig { quant_step: 16.0, slices_per_frame: 4 }, &training)
     }
 
     #[test]
@@ -261,10 +256,7 @@ mod tests {
         );
         let b_placid = coder.code_frame(&placid.frame(5, w, h)).total_bytes();
         let b_action = coder.code_frame(&action.frame(5, w, h)).total_bytes();
-        assert!(
-            b_action as f64 > 1.5 * b_placid as f64,
-            "action {b_action} vs placid {b_placid}"
-        );
+        assert!(b_action as f64 > 1.5 * b_placid as f64, "action {b_action} vs placid {b_placid}");
     }
 
     #[test]
@@ -285,7 +277,7 @@ mod tests {
         assert_eq!(slice_bounds(8, 4), vec![(0, 2), (2, 4), (4, 6), (6, 8)]);
         assert_eq!(slice_bounds(60, 30).len(), 30); // the paper's geometry
         assert_eq!(slice_bounds(4, 30).len(), 4); // clamped to block rows
-        // Bounds tile the frame exactly.
+                                                  // Bounds tile the frame exactly.
         let b = slice_bounds(7, 3);
         assert_eq!(b.first().unwrap().0, 0);
         assert_eq!(b.last().unwrap().1, 7);
@@ -317,10 +309,8 @@ mod tests {
             CoderConfig { quant_step: 40.0, slices_per_frame: 4 },
             &training,
         );
-        let fine = IntraframeCoder::train(
-            CoderConfig { quant_step: 6.0, slices_per_frame: 4 },
-            &training,
-        );
+        let fine =
+            IntraframeCoder::train(CoderConfig { quant_step: 6.0, slices_per_frame: 4 }, &training);
         let frame = scene.frame(9, w, h);
         let cc = coarse.code_frame(&frame);
         let cf = fine.code_frame(&frame);

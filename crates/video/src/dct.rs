@@ -10,8 +10,7 @@ fn basis() -> &'static [[f64; 8]; 8] {
         for (k, row) in b.iter_mut().enumerate() {
             let ck = if k == 0 { (1.0f64 / 8.0).sqrt() } else { (2.0f64 / 8.0).sqrt() };
             for (n, v) in row.iter_mut().enumerate() {
-                *v = ck
-                    * (std::f64::consts::PI * (2.0 * n as f64 + 1.0) * k as f64 / 16.0).cos();
+                *v = ck * (std::f64::consts::PI * (2.0 * n as f64 + 1.0) * k as f64 / 16.0).cos();
             }
         }
         b

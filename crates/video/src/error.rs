@@ -21,10 +21,9 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TraceError::Numeric(e) => e.fmt(f),
-            TraceError::RaggedSlices { len, spf } => write!(
-                f,
-                "slice count {len} is not a multiple of slices_per_frame {spf}"
-            ),
+            TraceError::RaggedSlices { len, spf } => {
+                write!(f, "slice count {len} is not a multiple of slices_per_frame {spf}")
+            }
         }
     }
 }

@@ -132,8 +132,7 @@ fn huffman_lengths(freqs: &[u64]) -> Vec<u8> {
 /// Assigns canonical codewords given code lengths (shorter codes first,
 /// ties broken by symbol index).
 fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let mut symbols: Vec<usize> =
-        (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
+    let mut symbols: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
     symbols.sort_by_key(|&s| (lengths[s], s));
     let mut codes = vec![0u32; lengths.len()];
     let mut code = 0u32;
@@ -230,12 +229,8 @@ mod tests {
     fn kraft_inequality_holds() {
         let freqs = [50u64, 30, 10, 5, 3, 1, 1];
         let t = HuffmanTable::from_frequencies(&freqs);
-        let kraft: f64 = t
-            .lengths()
-            .iter()
-            .filter(|&&l| l > 0)
-            .map(|&l| 2f64.powi(-(l as i32)))
-            .sum();
+        let kraft: f64 =
+            t.lengths().iter().filter(|&&l| l > 0).map(|&l| 2f64.powi(-(l as i32))).sum();
         assert!(kraft <= 1.0 + 1e-12, "Kraft sum {kraft}");
     }
 

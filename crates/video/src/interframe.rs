@@ -73,8 +73,7 @@ impl InterframeCoder {
             (d / 2 + 128).clamp(0, 255) as u8
         });
         let coded = self.intra.code_frame(&residual);
-        let resid_recon =
-            self.intra.decode_frame(&coded, frame.width(), frame.height());
+        let resid_recon = self.intra.decode_frame(&coded, frame.width(), frame.height());
         let recon = Frame::from_fn(frame.width(), frame.height(), |x, y| {
             let d = (resid_recon.get(x, y) as i32 - 128) * 2;
             (reference.get(x, y) as i32 + d).clamp(0, 255) as u8
@@ -97,11 +96,7 @@ impl InterframeCoder {
 }
 
 /// Convenience: train an intraframe coder and wrap it for interframe use.
-pub fn train_interframe(
-    config: CoderConfig,
-    training: &[Frame],
-    gop: usize,
-) -> InterframeCoder {
+pub fn train_interframe(config: CoderConfig, training: &[Frame], gop: usize) -> InterframeCoder {
     InterframeCoder::new(IntraframeCoder::train(config, training), gop)
 }
 
@@ -112,20 +107,11 @@ mod tests {
     use crate::synth::{SceneSpec, SceneSynthesizer};
 
     fn scene(motion: f64, seed: u64) -> SceneSynthesizer {
-        SceneSynthesizer::new(SceneSpec {
-            complexity: 0.5,
-            motion,
-            brightness: 128.0,
-            seed,
-        })
+        SceneSynthesizer::new(SceneSpec { complexity: 0.5, motion, brightness: 128.0, seed })
     }
 
     fn coder_for(frames: &[Frame], gop: usize) -> InterframeCoder {
-        train_interframe(
-            CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
-            frames,
-            gop,
-        )
+        train_interframe(CoderConfig { quant_step: 16.0, slices_per_frame: 4 }, frames, gop)
     }
 
     #[test]
@@ -155,10 +141,7 @@ mod tests {
         let i_bytes = out[0].0;
         let p_bytes: f64 =
             out[1..].iter().map(|&(b, _)| b as f64).sum::<f64>() / (out.len() - 1) as f64;
-        assert!(
-            p_bytes < 0.4 * i_bytes as f64,
-            "P avg {p_bytes} vs I {i_bytes}"
-        );
+        assert!(p_bytes < 0.4 * i_bytes as f64, "P avg {p_bytes} vs I {i_bytes}");
     }
 
     #[test]
@@ -184,10 +167,7 @@ mod tests {
                 CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
                 &train,
             );
-            (0..8)
-                .map(|t| c.code_frame(&sc.frame(t, w, h)).total_bytes() as f64)
-                .sum::<f64>()
-                / 8.0
+            (0..8).map(|t| c.code_frame(&sc.frame(t, w, h)).total_bytes() as f64).sum::<f64>() / 8.0
         };
 
         let inter_ratio = p_rate(&fast) / p_rate(&slow);
@@ -235,8 +215,7 @@ mod tests {
             CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
             &frames[..3],
         );
-        let inter_total: u64 =
-            inter.code_sequence(&frames).iter().map(|&(b, _)| b as u64).sum();
+        let inter_total: u64 = inter.code_sequence(&frames).iter().map(|&(b, _)| b as u64).sum();
         let intra_total: u64 =
             frames.iter().map(|f| intra.code_frame(f).total_bytes() as u64).sum();
         assert!(

@@ -37,8 +37,8 @@ pub mod zigzag;
 
 pub use coder::{psnr, CodedFrame, CoderConfig, IntraframeCoder};
 pub use error::TraceError;
-pub use interframe::{train_interframe, FrameKind, InterframeCoder};
 pub use frame::Frame;
+pub use interframe::{train_interframe, FrameKind, InterframeCoder};
 pub use quant::Quantizer;
 pub use scene_model::{SceneChainConfig, SceneChainModel};
 pub use scenes::{detect_scenes, summarize_scenes, Scene, SceneDetectOptions, SceneSummary};

@@ -129,11 +129,7 @@ pub fn encode_block(levels: &[i16; 64], prev_dc: i16) -> (Vec<Token>, i16) {
             run -= 16;
         }
         let (extra, bits) = encode_amplitude(v as i32);
-        out.push(Token {
-            symbol: Symbol::AcRunSize { run, size: bits },
-            extra,
-            extra_bits: bits,
-        });
+        out.push(Token { symbol: Symbol::AcRunSize { run, size: bits }, extra, extra_bits: bits });
         run = 0;
     }
     if run > 0 {

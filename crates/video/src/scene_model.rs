@@ -98,12 +98,7 @@ impl SceneChainModel {
     /// quantile-bin their levels into `k` states, count transitions, and
     /// measure per-state dwell and jitter. Panics when the series yields
     /// no scenes (empty input) or `k == 0`.
-    pub fn fit(
-        frame_series: &[f64],
-        k: usize,
-        detect: &SceneDetectOptions,
-        seed: u64,
-    ) -> Self {
+    pub fn fit(frame_series: &[f64], k: usize, detect: &SceneDetectOptions, seed: u64) -> Self {
         assert!(k >= 1, "need at least one state");
         let scenes = detect_scenes(frame_series, detect);
         assert!(!scenes.is_empty(), "no scenes detected (empty series?)");
@@ -111,9 +106,8 @@ impl SceneChainModel {
         // Quantile bin edges over scene levels.
         let mut sorted: Vec<f64> = scenes.iter().map(|s| s.level).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let edges: Vec<f64> = (1..k)
-            .map(|i| sorted[(i * sorted.len() / k).min(sorted.len() - 1)])
-            .collect();
+        let edges: Vec<f64> =
+            (1..k).map(|i| sorted[(i * sorted.len() / k).min(sorted.len() - 1)]).collect();
         let bin = |level: f64| edges.iter().filter(|&&e| level >= e).count();
 
         let mut level_sum = vec![0.0; k];
@@ -139,8 +133,7 @@ impl SceneChainModel {
         }
 
         let grand_level = scenes.iter().map(|s| s.level).sum::<f64>() / scenes.len() as f64;
-        let grand_len =
-            scenes.iter().map(|s| s.len as f64).sum::<f64>() / scenes.len() as f64;
+        let grand_len = scenes.iter().map(|s| s.len as f64).sum::<f64>() / scenes.len() as f64;
         let levels: Vec<f64> = (0..k)
             .map(|i| if count[i] > 0 { level_sum[i] / count[i] as f64 } else { grand_level })
             .collect();
@@ -151,9 +144,7 @@ impl SceneChainModel {
             })
             .collect();
         let within_sd: Vec<f64> = (0..k)
-            .map(|i| {
-                if within_n[i] > 0 { (within_m2[i] / within_n[i] as f64).sqrt() } else { 0.0 }
-            })
+            .map(|i| if within_n[i] > 0 { (within_m2[i] / within_n[i] as f64).sqrt() } else { 0.0 })
             .collect();
         let transition: Vec<f64> = (0..k)
             .flat_map(|i| {
@@ -372,9 +363,6 @@ mod tests {
         let xs = m.sample_series(4_000);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let want = m.nominal_mean();
-        assert!(
-            (mean - want).abs() / want < 0.25,
-            "generated mean {mean} vs fitted {want}"
-        );
+        assert!((mean - want).abs() / want < 0.25, "generated mean {mean} vs fitted {want}");
     }
 }

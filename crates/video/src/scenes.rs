@@ -237,10 +237,8 @@ mod tests {
 
     #[test]
     fn zero_level_scenes_get_zero_cov_not_nan() {
-        let scenes = vec![
-            Scene { start: 0, len: 30, level: 0.0 },
-            Scene { start: 30, len: 40, level: 0.0 },
-        ];
+        let scenes =
+            vec![Scene { start: 0, len: 30, level: 0.0 }, Scene { start: 30, len: 40, level: 0.0 }];
         let s = summarize_scenes(&scenes);
         assert_eq!(s.level_cov, 0.0);
         assert!(!s.level_cov.is_nan());

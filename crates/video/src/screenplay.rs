@@ -205,12 +205,7 @@ fn scripted_events(frames: usize, fps: f64) -> Vec<Event> {
         Event { start: n * 50 / 100, len: s(2.5), level: 3.5, taper: true },
         Event { start: n * 55 / 100, len: s(1.6), level: 3.8, taper: true },
         // "Death Star" explosion: 10-second plateau 5 minutes from the end.
-        Event {
-            start: n.saturating_sub(s(300.0)),
-            len: s(10.0),
-            level: 2.6,
-            taper: false,
-        },
+        Event { start: n.saturating_sub(s(300.0)), len: s(10.0), level: 2.6, taper: false },
     ]
 }
 
@@ -226,10 +221,8 @@ pub fn generate(config: &ScreenplayConfig) -> Trace {
     // 2. Scene segmentation with lognormal durations (heavier than
     //    exponential, matching the long "camera holds" of film).
     let mut scene_rng = Xoshiro256::seed_from_u64(config.seed ^ 0xA5CE);
-    let dur_dist = Lognormal::from_moments(
-        config.mean_scene_frames,
-        config.mean_scene_frames * 1.2,
-    );
+    let dur_dist =
+        Lognormal::from_moments(config.mean_scene_frames, config.mean_scene_frames * 1.2);
     let mut anchors: Vec<(usize, f64)> = Vec::new(); // (scene start, held level)
     let mut alt: Vec<bool> = Vec::new();
     let mut pos = 0usize;
@@ -390,11 +383,7 @@ mod tests {
         let t = short_trace(60_000, 5);
         let s = t.summary_frame();
         assert!((s.mean - 27_791.0).abs() / 27_791.0 < 0.05, "mean {}", s.mean);
-        assert!(
-            (s.std_dev - 6_254.0).abs() / 6_254.0 < 0.25,
-            "std dev {}",
-            s.std_dev
-        );
+        assert!((s.std_dev - 6_254.0).abs() / 6_254.0 < 0.25, "std dev {}", s.std_dev);
         assert!(s.min > 0.0 && s.min < 20_000.0, "min {}", s.min);
         assert!(s.peak_to_mean > 1.8 && s.peak_to_mean < 4.5, "p/m {}", s.peak_to_mean);
     }
@@ -417,11 +406,7 @@ mod tests {
     fn trace_is_long_range_dependent() {
         let t = short_trace(60_000, 7);
         let vt = vbr_lrd::variance_time(&t.frame_series(), &vbr_lrd::VtOptions::default());
-        assert!(
-            vt.hurst > 0.65 && vt.hurst < 0.95,
-            "variance-time H = {}",
-            vt.hurst
-        );
+        assert!(vt.hurst > 0.65 && vt.hurst < 0.95, "variance-time H = {}", vt.hurst);
     }
 
     #[test]

@@ -120,8 +120,7 @@ mod tests {
         let action = SceneSynthesizer::new(SceneSpec::action(5)).frame(0, 64, 64);
         let var = |f: &Frame| {
             let m = f.mean();
-            f.data().iter().map(|&v| (v as f64 - m).powi(2)).sum::<f64>()
-                / f.data().len() as f64
+            f.data().iter().map(|&v| (v as f64 - m).powi(2)).sum::<f64>() / f.data().len() as f64
         };
         assert!(
             var(&action) > 2.0 * var(&placid),

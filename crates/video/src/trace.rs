@@ -36,8 +36,7 @@ impl Trace {
     ///
     /// `slice_bytes.len()` must be a multiple of `slices_per_frame`.
     pub fn from_slices(slice_bytes: Vec<u32>, slices_per_frame: usize, fps: f64) -> Self {
-        Self::try_from_slices(slice_bytes, slices_per_frame, fps)
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::try_from_slices(slice_bytes, slices_per_frame, fps).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`from_slices`](Self::from_slices): rejects a zero
@@ -50,18 +49,11 @@ impl Trace {
         fps: f64,
     ) -> Result<Self, TraceError> {
         if slices_per_frame == 0 {
-            return Err(NumericError::NonPositive {
-                what: "slices_per_frame",
-                value: 0.0,
-            }
-            .into());
+            return Err(NumericError::NonPositive { what: "slices_per_frame", value: 0.0 }.into());
         }
         check_positive_param("fps", fps)?;
         if !slice_bytes.len().is_multiple_of(slices_per_frame) {
-            return Err(TraceError::RaggedSlices {
-                len: slice_bytes.len(),
-                spf: slices_per_frame,
-            });
+            return Err(TraceError::RaggedSlices { len: slice_bytes.len(), spf: slices_per_frame });
         }
         Ok(Trace { slice_bytes, slices_per_frame, fps })
     }
@@ -200,22 +192,21 @@ impl Trace {
         if spf == 0 || !(fps > 0.0 && fps.is_finite()) {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad trace geometry"));
         }
-        let payload = n.checked_mul(4).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "slice count overflows")
-        })?;
+        let payload = n
+            .checked_mul(4)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "slice count overflows"))?;
         // `take` bounds the allocation by the bytes actually present, so a
         // corrupt length field cannot demand an absurd upfront buffer.
         let mut data = Vec::new();
         r.take(payload).read_to_end(&mut data)?;
         if data.len() as u64 != payload {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated trace payload",
-            ));
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated trace payload"));
         }
         let slice_bytes = data
             .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4-byte chunks")))
+            .map(|c| {
+                u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4-byte chunks"))
+            })
             .collect();
         Trace::try_from_slices(slice_bytes, spf, fps)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
@@ -347,10 +338,7 @@ mod tests {
             Trace::try_from_slices(vec![1, 2, 3], 2, 24.0),
             Err(TraceError::RaggedSlices { len: 3, spf: 2 })
         ));
-        assert!(matches!(
-            Trace::try_from_slices(vec![1, 2], 0, 24.0),
-            Err(TraceError::Numeric(_))
-        ));
+        assert!(matches!(Trace::try_from_slices(vec![1, 2], 0, 24.0), Err(TraceError::Numeric(_))));
         assert!(Trace::try_from_slices(vec![1, 2], 2, 0.0).is_err());
         assert!(Trace::try_from_slices(vec![1, 2], 2, f64::NAN).is_err());
         assert!(Trace::try_from_slices(vec![1, 2], 2, 24.0).is_ok());
@@ -392,9 +380,6 @@ mod tests {
         buf.extend_from_slice(&24.0f64.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         let err = Trace::read_binary(&buf[..]).unwrap_err();
-        assert!(matches!(
-            err.kind(),
-            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-        ));
+        assert!(matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof));
     }
 }

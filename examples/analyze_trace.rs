@@ -41,7 +41,10 @@ fn main() {
     let lognormal = Lognormal::from_moments(mean, sd);
     let est = estimate_trace(&trace, &EstimateOptions::default());
     let hybrid = est.params.marginal();
-    println!("{:>10} {:>12} {:>12} {:>12} {:>12} {:>12}", "x", "empirical", "Normal", "Gamma", "Lognormal", "Gamma/Pareto");
+    println!(
+        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "x", "empirical", "Normal", "Gamma", "Lognormal", "Gamma/Pareto"
+    );
     for q in [0.9, 0.99, 0.999, 0.9999] {
         let x = ecdf.quantile(q);
         println!(

@@ -28,11 +28,7 @@ fn main() {
     let curve = qc_curve(&sim, &grid, LossTarget::Rate(1e-3), LossMetric::Overall, 22);
     println!("{:>12} {:>18}", "T_max [ms]", "C/source [Mb/s]");
     for p in &curve {
-        println!(
-            "{:>12.2} {:>18.2}",
-            p.t_max_secs * 1e3,
-            p.capacity_per_source * 8.0 / 1e6
-        );
+        println!("{:>12.2} {:>18.2}", p.t_max_secs * 1e3, p.capacity_per_source * 8.0 / 1e6);
     }
     println!("(note the knee: below ~2 ms the required bandwidth climbs steeply)");
 
@@ -56,9 +52,7 @@ fn main() {
             p.gain_realized * 100.0
         );
     }
-    println!(
-        "(the paper: with 5 sources ~72% of the peak-to-mean gain is realised)"
-    );
+    println!("(the paper: with 5 sources ~72% of the peak-to-mean gain is realised)");
 
     // Peak clipping (§6's recommendation): clip the most extreme frames at
     // the 99.9th percentile and see the resource saving.

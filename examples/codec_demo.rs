@@ -35,10 +35,8 @@ fn main() {
             training.push(s.frame(t, w, h));
         }
     }
-    let coder = IntraframeCoder::train(
-        CoderConfig { quant_step: 16.0, slices_per_frame: 8 },
-        &training,
-    );
+    let coder =
+        IntraframeCoder::train(CoderConfig { quant_step: 16.0, slices_per_frame: 8 }, &training);
 
     println!("coder: 8x8 DCT, uniform quantiser (step 16), zig-zag RLE, Huffman");
     println!("frame: {w}x{h} monochrome, 8 slices/frame\n");
@@ -98,21 +96,15 @@ fn main() {
     // "greater compression, burstiness and much stronger dependence on
     // motion result from interframe coding".
     println!("\n== interframe (I/P, GOP = 12) vs intraframe ==");
-    println!(
-        "{:<18} {:>14} {:>14} {:>12}",
-        "scene", "intra B/frame", "inter B/frame", "P/I ratio"
-    );
+    println!("{:<18} {:>14} {:>14} {:>12}", "scene", "intra B/frame", "inter B/frame", "P/I ratio");
     for (name, scene) in &scenes {
         let mut inter = vbr::video::InterframeCoder::new(coder.clone(), 12);
         let frames: Vec<Frame> = (0..24).map(|t| scene.frame(t, w, h)).collect();
         let seq = inter.code_sequence(&frames);
-        let inter_avg =
-            seq.iter().map(|&(b, _)| b as f64).sum::<f64>() / seq.len() as f64;
-        let intra_avg = frames
-            .iter()
-            .map(|f| coder.code_frame(f).total_bytes() as f64)
-            .sum::<f64>()
-            / frames.len() as f64;
+        let inter_avg = seq.iter().map(|&(b, _)| b as f64).sum::<f64>() / seq.len() as f64;
+        let intra_avg =
+            frames.iter().map(|f| coder.code_frame(f).total_bytes() as f64).sum::<f64>()
+                / frames.len() as f64;
         let i_bytes = seq[0].0 as f64;
         let p_avg: f64 = seq
             .iter()
@@ -120,13 +112,7 @@ fn main() {
             .map(|&(b, _)| b as f64)
             .sum::<f64>()
             / seq.iter().filter(|&&(_, k)| k == vbr::video::FrameKind::P).count() as f64;
-        println!(
-            "{:<18} {:>14.0} {:>14.0} {:>12.2}",
-            name,
-            intra_avg,
-            inter_avg,
-            p_avg / i_bytes
-        );
+        println!("{:<18} {:>14.0} {:>14.0} {:>12.2}", name, intra_avg, inter_avg, p_avg / i_bytes);
     }
     println!("interframe compresses harder, and its rate swings with motion —");
     println!("the burstier regime the paper attributes to frame-difference coding.");

@@ -14,8 +14,7 @@ use vbr::video::Genre;
 fn main() {
     let frames = 12_000;
     let movie = generate_screenplay(&ScreenplayConfig::genre(Genre::ActionMovie, frames, 1));
-    let conf =
-        generate_screenplay(&ScreenplayConfig::genre(Genre::Videoconference, frames, 2));
+    let conf = generate_screenplay(&ScreenplayConfig::genre(Genre::Videoconference, frames, 2));
     let sports = generate_screenplay(&ScreenplayConfig::genre(Genre::Sports, frames, 3));
 
     println!("per-source statistics:");
@@ -37,11 +36,7 @@ fn main() {
     let agg = aggregate_arrivals_multi(&sources, &offsets);
     let dt = movie.slice_duration();
     let mean_bps: f64 = agg.iter().sum::<f64>() / (agg.len() as f64 * dt);
-    println!(
-        "\nmix of {} sources: aggregate mean {:.2} Mb/s",
-        sources.len(),
-        mean_bps * 8.0 / 1e6
-    );
+    println!("\nmix of {} sources: aggregate mean {:.2} Mb/s", sources.len(), mean_bps * 8.0 / 1e6);
 
     // Loss on the mixed link at several capacities.
     println!("{:>18} {:>12}", "capacity [Mb/s]", "P_l");
@@ -59,21 +54,9 @@ fn main() {
     println!("\nadmission onto a 45 Mb/s link @ T_max = 2 ms, P_l <= 1e-3:");
     println!("{:<16} {:>10} {:>14}", "genre", "admitted", "utilisation");
     for (name, t) in [("action movie", &movie), ("conference", &conf), ("sports", &sports)] {
-        let r = admit_by_simulation(
-            t,
-            link,
-            0.002,
-            LossTarget::Rate(1e-3),
-            LossMetric::Overall,
-            64,
-            9,
-        );
-        println!(
-            "{:<16} {:>10} {:>13.0}%",
-            name,
-            r.max_sources,
-            r.utilization * 100.0
-        );
+        let r =
+            admit_by_simulation(t, link, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 64, 9);
+        println!("{:<16} {:>10} {:>13.0}%", name, r.max_sources, r.utilization * 100.0);
     }
     println!("\nsmoother, lower-rate conferences pack far more densely than movies —");
     println!("burstiness (and H) set the admissible load, not just the mean rate.");

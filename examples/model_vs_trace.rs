@@ -37,17 +37,13 @@ fn main() {
         ),
         (
             "AR(1) rho=0.9, Gamma/Pareto",
-            SourceModel::ar1_gamma_pareto(est.params, 0.9)
-                .generate_trace(n_frames, 24.0, 30, 11),
+            SourceModel::ar1_gamma_pareto(est.params, 0.9).generate_trace(n_frames, 24.0, 30, 11),
         ),
     ];
 
     for n_sources in [1usize, 5] {
         println!("== required capacity per source, N = {n_sources}, P_l = 0, T_max sweep ==");
-        println!(
-            "{:<34} {:>10} {:>10} {:>10}",
-            "source", "0.5 ms", "2 ms", "8 ms"
-        );
+        println!("{:<34} {:>10} {:>10} {:>10}", "source", "0.5 ms", "2 ms", "8 ms");
         for (name, t) in &variants {
             let sim = MuxSim::new(t, n_sources, 21);
             let caps: Vec<f64> = [0.0005, 0.002, 0.008]
@@ -59,10 +55,7 @@ fn main() {
                         / 1e6
                 })
                 .collect();
-            println!(
-                "{:<34} {:>9.2}M {:>9.2}M {:>9.2}M",
-                name, caps[0], caps[1], caps[2]
-            );
+            println!("{:<34} {:>9.2}M {:>9.2}M {:>9.2}M", name, caps[0], caps[1], caps[2]);
         }
         println!();
     }

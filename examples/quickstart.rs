@@ -33,7 +33,10 @@ fn main() {
     println!("\n== estimated parameters ==");
     println!("mu_gamma    = {:.0} bytes/frame", p.mu_gamma);
     println!("sigma_gamma = {:.0} bytes/frame", p.sigma_gamma);
-    println!("tail slope  = {:.2}  (log-log CCDF slope, R² = {:.3})", p.tail_slope, est.tail_fit_r2);
+    println!(
+        "tail slope  = {:.2}  (log-log CCDF slope, R² = {:.3})",
+        p.tail_slope, est.tail_fit_r2
+    );
     println!("Hurst H     = {:.3}", p.hurst);
 
     // 3. Generate synthetic traffic from the fitted model.

@@ -51,10 +51,7 @@ fn main() {
     //    total load and keep the base layer clean.
     println!("\n== layered coding with priority queueing (§5.3) ==");
     let capacity = trace.mean_bandwidth_bps() / 8.0 * 0.97;
-    println!(
-        "link at 97% of the mean rate ({:.2} Mb/s):",
-        capacity * 8.0 / 1e6
-    );
+    println!("link at 97% of the mean rate ({:.2} Mb/s):", capacity * 8.0 / 1e6);
     println!("{:>14} {:>12} {:>14} {:>12}", "base frac", "base loss", "enh. loss", "unlayered");
     for base in [0.5, 0.7, 0.85] {
         let r = simulate_layered(&trace, base, capacity, 200_000.0);

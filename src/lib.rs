@@ -54,9 +54,8 @@ pub use vbr_video::Trace;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use vbr_fgn::{
-        BlockSource, DaviesHarte, FarimaStream, FgnError, FgnStream, Hosking,
-        MarginalTransform, MwmConfig, MwmModel, RobustFgn, TableMode, TraceReplay,
-        TrafficModel,
+        BlockSource, DaviesHarte, FarimaStream, FgnError, FgnStream, Hosking, MarginalTransform,
+        MwmConfig, MwmModel, RobustFgn, TableMode, TraceReplay, TrafficModel,
     };
     pub use vbr_lrd::{
         hurst_report, robust_hurst, rs_analysis, variance_time, wavelet_hurst, whittle_log,
@@ -72,11 +71,11 @@ pub mod prelude {
         qc_curve, required_capacity_model, smg_curve, ArrivalCursor, FluidQueue, LossMetric,
         LossTarget, MuxSim, QsimError,
     };
-    pub use vbr_video::SceneChainModel;
     pub use vbr_stats::dist::{ContinuousDist, Gamma, GammaPareto, Lognormal, Normal, Pareto};
     pub use vbr_stats::{Moments, TraceSummary, Xoshiro256};
+    pub use vbr_video::SceneChainModel;
     pub use vbr_video::{
-        generate_screenplay, generate_screenplay_batch, CoderConfig, Frame, IntraframeCoder, SceneSpec,
-        SceneSynthesizer, ScreenplayConfig, Trace,
+        generate_screenplay, generate_screenplay_batch, CoderConfig, Frame, IntraframeCoder,
+        SceneSpec, SceneSynthesizer, ScreenplayConfig, Trace,
     };
 }

@@ -8,10 +8,7 @@ use vbr::prelude::*;
 #[test]
 fn estimate_generate_reestimate_round_trip() {
     let trace = generate_screenplay(&ScreenplayConfig::short(40_000, 101));
-    let opts = EstimateOptions {
-        hurst_method: HurstMethod::VarianceTime,
-        ..Default::default()
-    };
+    let opts = EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() };
     let est1 = estimate_trace(&trace, &opts);
 
     let model = SourceModel::full(est1.params);
@@ -32,12 +29,7 @@ fn estimate_generate_reestimate_round_trip() {
         p1.sigma_gamma,
         p2.sigma_gamma
     );
-    assert!(
-        (p1.hurst - p2.hurst).abs() < 0.15,
-        "H drifted: {} vs {}",
-        p1.hurst,
-        p2.hurst
-    );
+    assert!((p1.hurst - p2.hurst).abs() < 0.15, "H drifted: {} vs {}", p1.hurst, p2.hurst);
 }
 
 /// The Table 3 consistency claim: on a pure LRD input every estimator in
@@ -45,11 +37,8 @@ fn estimate_generate_reestimate_round_trip() {
 #[test]
 fn hurst_estimator_suite_is_consistent() {
     let h = 0.8;
-    let series: Vec<f64> = DaviesHarte::new(h, 1.0)
-        .generate(100_000, 31)
-        .into_iter()
-        .map(|v| v + 20.0)
-        .collect();
+    let series: Vec<f64> =
+        DaviesHarte::new(h, 1.0).generate(100_000, 31).into_iter().map(|v| v + 20.0).collect();
     let rep = hurst_report(&series, &ReportOptions::default());
     for (name, est) in rep.estimates() {
         assert!((est - h).abs() < 0.13, "{name}: {est} vs truth {h}");
@@ -61,15 +50,8 @@ fn hurst_estimator_suite_is_consistent() {
 #[test]
 fn multiplexing_gain_shape() {
     let trace = generate_screenplay(&ScreenplayConfig::short(6_000, 303));
-    let pts = smg_curve(
-        &trace,
-        &[1, 5, 15],
-        0.002,
-        LossTarget::Rate(1e-3),
-        LossMetric::Overall,
-        18,
-        7,
-    );
+    let pts =
+        smg_curve(&trace, &[1, 5, 15], 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 18, 7);
     assert!(pts[0].capacity_per_source > pts[1].capacity_per_source);
     assert!(pts[1].capacity_per_source >= pts[2].capacity_per_source * 0.98);
     // Most of the achievable gain is realised by N = 5.
@@ -93,22 +75,18 @@ fn srd_models_are_optimistic() {
     );
     let t_max = 0.05; // large buffer: correlation structure matters most
     let target = LossTarget::Rate(1e-4);
-    let cap = |t: &Trace| {
-        MuxSim::new(t, 1, 9).required_capacity(t_max, target, LossMetric::Overall, 20)
-    };
+    let cap =
+        |t: &Trace| MuxSim::new(t, 1, 9).required_capacity(t_max, target, LossMetric::Overall, 20);
     let c_trace = cap(&trace);
-    let c_gauss = cap(&SourceModel::gaussian_marginal(est.params)
-        .generate_trace(20_000, 24.0, 30, 505));
+    let c_gauss =
+        cap(&SourceModel::gaussian_marginal(est.params).generate_trace(20_000, 24.0, 30, 505));
     let c_iid =
         cap(&SourceModel::iid_gamma_pareto(est.params).generate_trace(20_000, 24.0, 30, 505));
     assert!(
         c_gauss < c_trace,
         "Gaussian-marginal model should be optimistic: {c_gauss} vs {c_trace}"
     );
-    assert!(
-        c_iid < c_trace,
-        "i.i.d. model should be optimistic: {c_iid} vs {c_trace}"
-    );
+    assert!(c_iid < c_trace, "i.i.d. model should be optimistic: {c_iid} vs {c_trace}");
 }
 
 /// Trace persistence round-trips through the binary format.
@@ -129,10 +107,8 @@ fn codec_to_trace_pipeline() {
     let scene = SceneSynthesizer::new(SceneSpec::action(7));
     let (w, h) = (64, 64);
     let training: Vec<Frame> = (0..3).map(|t| scene.frame(t, w, h)).collect();
-    let coder = IntraframeCoder::train(
-        CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
-        &training,
-    );
+    let coder =
+        IntraframeCoder::train(CoderConfig { quant_step: 16.0, slices_per_frame: 4 }, &training);
     let mut slice_bytes = Vec::new();
     for t in 0..24 {
         let frame = scene.frame(t, w, h);

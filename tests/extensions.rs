@@ -5,8 +5,7 @@
 
 use vbr::prelude::*;
 use vbr::qsim::{
-    admit_by_simulation, simulate_cells, simulate_layered, CellSpacing, LossMetric,
-    LossTarget,
+    admit_by_simulation, simulate_cells, simulate_layered, CellSpacing, LossMetric, LossTarget,
 };
 use vbr::stats::dist::aggregate_marginal;
 use vbr::video::{detect_scenes, summarize_scenes, Genre, SceneDetectOptions};
@@ -16,12 +15,9 @@ use vbr::video::{detect_scenes, summarize_scenes, Genre, SceneDetectOptions};
 #[test]
 fn genre_fingerprints_are_ordered() {
     let movie = generate_screenplay(&ScreenplayConfig::genre(Genre::ActionMovie, 20_000, 1));
-    let conf =
-        generate_screenplay(&ScreenplayConfig::genre(Genre::Videoconference, 20_000, 1));
+    let conf = generate_screenplay(&ScreenplayConfig::genre(Genre::Videoconference, 20_000, 1));
     assert!(conf.mean_bandwidth_bps() < 0.5 * movie.mean_bandwidth_bps());
-    assert!(
-        conf.summary_frame().coef_variation < movie.summary_frame().coef_variation
-    );
+    assert!(conf.summary_frame().coef_variation < movie.summary_frame().coef_variation);
 }
 
 /// Scene detection on the synthetic movie finds a film-like scene scale
@@ -46,8 +42,7 @@ fn extended_estimators_agree_on_fgn() {
     let lw = vbr::lrd::local_whittle(&xs, None);
     let wv = vbr::lrd::wavelet_hurst(&xs, Some(2), None);
     let vt = variance_time(&xs, &VtOptions::default());
-    for (name, est) in [("local Whittle", lw.hurst), ("wavelet", wv.hurst), ("VT", vt.hurst)]
-    {
+    for (name, est) in [("local Whittle", lw.hurst), ("wavelet", wv.hurst), ("VT", vt.hurst)] {
         assert!((est - h).abs() < 0.08, "{name}: {est}");
     }
 }
@@ -78,23 +73,12 @@ fn admission_on_model_matches_trace() {
     let model_trace = SourceModel::full(est.params).generate_trace(8_000, 24.0, 30, 5);
     let link = trace.mean_bandwidth_bps() / 8.0 * 6.0;
     let admit = |t: &Trace| {
-        admit_by_simulation(
-            t,
-            link,
-            0.002,
-            LossTarget::Rate(1e-3),
-            LossMetric::Overall,
-            24,
-            6,
-        )
-        .max_sources
+        admit_by_simulation(t, link, 0.002, LossTarget::Rate(1e-3), LossMetric::Overall, 24, 6)
+            .max_sources
     };
     let a = admit(&trace);
     let b = admit(&model_trace);
-    assert!(
-        a.abs_diff(b) <= 2,
-        "trace admits {a}, model admits {b} — should be close"
-    );
+    assert!(a.abs_diff(b) <= 2, "trace admits {a}, model admits {b} — should be close");
 }
 
 /// Layered transport protects the base layer on a congested link while a
@@ -124,22 +108,18 @@ fn layered_and_cell_views_of_the_same_link() {
 /// frames.
 #[test]
 fn interframe_trace_is_burstier() {
-    use vbr::video::{CoderConfig, IntraframeCoder, InterframeCoder, SceneSpec, SceneSynthesizer};
+    use vbr::video::{CoderConfig, InterframeCoder, IntraframeCoder, SceneSpec, SceneSynthesizer};
     let (w, h) = (64, 64);
-    let scenes = [
-        SceneSynthesizer::new(SceneSpec::placid(1)),
-        SceneSynthesizer::new(SceneSpec::action(2)),
-    ];
+    let scenes =
+        [SceneSynthesizer::new(SceneSpec::placid(1)), SceneSynthesizer::new(SceneSpec::action(2))];
     let mut training = Vec::new();
     for s in &scenes {
         for t in 0..2 {
             training.push(s.frame(t, w, h));
         }
     }
-    let intra = IntraframeCoder::train(
-        CoderConfig { quant_step: 16.0, slices_per_frame: 4 },
-        &training,
-    );
+    let intra =
+        IntraframeCoder::train(CoderConfig { quant_step: 16.0, slices_per_frame: 4 }, &training);
     let mut inter = InterframeCoder::new(intra.clone(), 12);
 
     let mut intra_bytes = Vec::new();

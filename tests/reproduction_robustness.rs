@@ -16,22 +16,14 @@ fn trace_for(seed: u64) -> Trace {
 fn table2_shape_across_seeds() {
     for seed in [11u64, 22, 33] {
         let s = trace_for(seed).summary_frame();
-        assert!(
-            (s.coef_variation - 0.24).abs() < 0.06,
-            "seed {seed}: CoV {}",
-            s.coef_variation
-        );
+        assert!((s.coef_variation - 0.24).abs() < 0.06, "seed {seed}: CoV {}", s.coef_variation);
         assert!(
             s.peak_to_mean > 1.8 && s.peak_to_mean < 4.5,
             "seed {seed}: peak/mean {}",
             s.peak_to_mean
         );
         assert!(s.min > 0.0, "seed {seed}: min {}", s.min);
-        assert!(
-            (s.mean - 27_791.0).abs() / 27_791.0 < 0.08,
-            "seed {seed}: mean {}",
-            s.mean
-        );
+        assert!((s.mean - 27_791.0).abs() / 27_791.0 < 0.08, "seed {seed}: mean {}", s.mean);
     }
 }
 
@@ -40,16 +32,10 @@ fn table2_shape_across_seeds() {
 fn hurst_regime_across_seeds() {
     for seed in [11u64, 22, 33] {
         let series = trace_for(seed).frame_series();
-        let vt = variance_time(
-            &series,
-            &VtOptions { fit_min_m: 200, ..VtOptions::default() },
-        );
+        let vt = variance_time(&series, &VtOptions { fit_min_m: 200, ..VtOptions::default() });
         let rs = rs_analysis(&series, &RsOptions::default());
         for (name, h) in [("VT", vt.hurst), ("R/S", rs.hurst)] {
-            assert!(
-                h > 0.62 && h < 0.95,
-                "seed {seed}, {name}: H = {h} left the LRD regime"
-            );
+            assert!(h > 0.62 && h < 0.95, "seed {seed}, {name}: H = {h} left the LRD regime");
         }
     }
 }
@@ -66,10 +52,7 @@ fn tail_ordering_across_seeds() {
         let normal = Normal::from_moments(s.mean, s.std_dev);
         let est = estimate_trace(
             &trace,
-            &EstimateOptions {
-                hurst_method: HurstMethod::VarianceTime,
-                ..Default::default()
-            },
+            &EstimateOptions { hurst_method: HurstMethod::VarianceTime, ..Default::default() },
         );
         let hybrid = est.params.marginal();
         let x = ecdf.quantile(0.999);
@@ -80,10 +63,7 @@ fn tail_ordering_across_seeds() {
             emp / normal.ccdf(x)
         );
         let ratio = hybrid.ccdf(x) / emp;
-        assert!(
-            (0.1..10.0).contains(&ratio),
-            "seed {seed}: hybrid/empirical CCDF ratio {ratio}"
-        );
+        assert!((0.1..10.0).contains(&ratio), "seed {seed}: hybrid/empirical CCDF ratio {ratio}");
     }
 }
 
@@ -108,10 +88,6 @@ fn multiplexing_gain_across_seeds() {
             pts[0].gain_realized,
             pts[1].gain_realized
         );
-        assert!(
-            pts[1].gain_realized > 0.35,
-            "seed {seed}: N=5 gain only {}",
-            pts[1].gain_realized
-        );
+        assert!(pts[1].gain_realized > 0.35, "seed {seed}: N=5 gain only {}", pts[1].gain_realized);
     }
 }

@@ -53,10 +53,7 @@ fn aggregated_trace_retains_correlation() {
 #[test]
 fn hurst_in_lrd_regime() {
     let series = default_trace().frame_series();
-    let vt = variance_time(
-        &series,
-        &VtOptions { fit_min_m: 200, ..VtOptions::default() },
-    );
+    let vt = variance_time(&series, &VtOptions { fit_min_m: 200, ..VtOptions::default() });
     assert!(vt.hurst > 0.6 && vt.hurst < 0.95, "VT H = {}", vt.hurst);
     let rs = rs_analysis(&series, &RsOptions::default());
     assert!(rs.hurst > 0.6 && rs.hurst < 0.95, "R/S H = {}", rs.hurst);
@@ -71,12 +68,7 @@ fn hosking_matches_farima_law() {
     let r = autocorrelation(&xs, 5);
     let want = vbr::fgn::farima_acf(h - 0.5, 5);
     for k in 1..=5 {
-        assert!(
-            (r[k] - want[k]).abs() < 0.05,
-            "lag {k}: {} vs theory {}",
-            r[k],
-            want[k]
-        );
+        assert!((r[k] - want[k]).abs() < 0.05, "lag {k}: {} vs theory {}", r[k], want[k]);
     }
 }
 
@@ -88,12 +80,7 @@ fn davies_harte_matches_fgn_law() {
     let r = autocorrelation(&xs, 3);
     let want = vbr::fgn::fgn_acvf(h, 3);
     for k in 1..=3 {
-        assert!(
-            (r[k] - want[k]).abs() < 0.05,
-            "lag {k}: {} vs theory {}",
-            r[k],
-            want[k]
-        );
+        assert!((r[k] - want[k]).abs() < 0.05, "lag {k}: {} vs theory {}", r[k], want[k]);
     }
 }
 
@@ -139,8 +126,5 @@ fn same_h_different_marginals_different_capacity() {
     };
     let c_gp = cap(&lrd_gp);
     let c_gauss = cap(&lrd_gauss);
-    assert!(
-        c_gp > c_gauss * 1.02,
-        "heavy tail must demand more capacity: {c_gp} vs {c_gauss}"
-    );
+    assert!(c_gp > c_gauss * 1.02, "heavy tail must demand more capacity: {c_gp} vs {c_gauss}");
 }
